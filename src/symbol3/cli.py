@@ -118,14 +118,27 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # keeps argparse's "invalid int value" message
+    return parse
+
+
 def _add_element_options(sub, second: bool = False):
-    sub.add_argument("--in", dest="in_file", metavar="FILE", help="element JSON file")
-    sub.add_argument("--coeffs", metavar="LIST", help="9 comma-separated scalars")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--in", dest="in_file", metavar="FILE", help="element JSON file")
+    source.add_argument("--coeffs", metavar="LIST", help="9 comma-separated scalars")
     sub.add_argument("--a", default="1", help="algebra parameter a (with --coeffs)")
     sub.add_argument("--b", default="1", help="algebra parameter b (with --coeffs)")
     if second:
-        sub.add_argument("--in2", dest="in_file2", metavar="FILE", help="second element JSON file")
-        sub.add_argument("--coeffs2", metavar="LIST", help="second element coefficients")
+        source = sub.add_mutually_exclusive_group()
+        source.add_argument("--in2", dest="in_file2", metavar="FILE", help="second element JSON file")
+        source.add_argument("--coeffs2", metavar="LIST", help="second element coefficients")
     sub.add_argument("--out", metavar="FILE", help="write the JSON result to FILE")
 
 
@@ -170,10 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--a", default="1", help="algebra parameter a")
     sub.add_argument("--b", default="1", help="algebra parameter b")
     for letter in ("A", "B", "C"):
-        sub.add_argument(f"--{letter}", dest=f"elem_{letter.lower()}", metavar="LIST",
-                         help=f"coefficients of {letter}")
-        sub.add_argument(f"--{letter}-in", dest=f"elem_{letter.lower()}_in", metavar="FILE",
-                         help=f"element JSON file for {letter}")
+        source = sub.add_mutually_exclusive_group()
+        source.add_argument(f"--{letter}", dest=f"elem_{letter.lower()}", metavar="LIST",
+                            help=f"coefficients of {letter}")
+        source.add_argument(f"--{letter}-in", dest=f"elem_{letter.lower()}_in", metavar="FILE",
+                            help=f"element JSON file for {letter}")
     sub.add_argument("--out", metavar="FILE")
 
     sub = subs.add_parser("fib", help="Fibonacci elements and the invertibility scan")
@@ -182,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--q", type=int, help="Horadam seed q (with --p)")
     sub.add_argument("--check-invertible", action="store_true",
                      help="report eta and invertibility instead of the element")
-    sub.add_argument("--scan", type=int, metavar="NMAX",
+    sub.add_argument("--scan", type=_int_at_least(0), metavar="NMAX",
                      help="norm/invertibility report for n = 0..NMAX")
     sub.add_argument("--lemmas", action="store_true",
                      help="include the derivation-audit table in the scan report")
@@ -192,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="run the identity battery")
     sub.add_argument("--suite", choices=SUITES, default="all")
-    sub.add_argument("--nmax", type=int, default=30)
-    sub.add_argument("--samples", type=int, default=50)
+    sub.add_argument("--nmax", type=_int_at_least(1), default=30)
+    sub.add_argument("--samples", type=_int_at_least(1), default=50)
     sub.add_argument("--seed", type=int, default=7)
     sub.add_argument("--corrupt-fixture", action="store_true",
                      help="negative control: damage one fixture expectation")
@@ -314,9 +328,6 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         parser.error(f"unknown command {args.command!r}")
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (
         NotInvertible,
         ParamsMismatch,
@@ -327,6 +338,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

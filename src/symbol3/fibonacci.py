@@ -177,12 +177,7 @@ def general_a_norm(n: int, a) -> CycQ:
 def omega_free_block_candidate(n: int) -> int:
     """The w-free block of the candidate closed form (its positivity is the
     classical nonvanishing argument; checked by invertibility_scan)."""
-    return (
-        fib(n + 2) * horadam(2 * n, 26822, 27753)
-        + fib(n + 3) * horadam(2 * n, 19120, 20203)
-        - fib(n) ** 2 * horadam(n + 3, 33835, 27659)
-        + (-1) ** (n + 1) * horadam(n + 3, 12982, 24138)
-    )
+    return int(closed_form_norm_candidate(n).r)
 
 
 def invertibility_scan(nmax: int, algebra: SymbolAlgebra = UNIT_ALGEBRA) -> dict:
@@ -249,10 +244,6 @@ class Lemma:
         self.lhs = lhs
         self.candidate = candidate
         self.verified = verified
-
-
-def _eq(u, v) -> bool:
-    return (u if isinstance(u, CycQ) else CycQ(u)) == (v if isinstance(v, CycQ) else CycQ(v))
 
 
 LEMMAS = (
@@ -520,9 +511,9 @@ def run_lemma_suite(nmax: int = 30) -> list:
         verified_ok = None if lemma.verified is None else True
         for n in range(1, nmax + 1):
             lhs = lemma.lhs(n)
-            if candidate_ok and not _eq(lhs, lemma.candidate(n)):
+            if candidate_ok and lhs != lemma.candidate(n):
                 candidate_ok = False
-            if lemma.verified is not None and verified_ok and not _eq(lhs, lemma.verified(n)):
+            if lemma.verified is not None and verified_ok and lhs != lemma.verified(n):
                 verified_ok = False
             if not candidate_ok and (verified_ok is None or not verified_ok):
                 break

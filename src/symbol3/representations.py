@@ -169,19 +169,23 @@ def _rref(rows):
     return pivots
 
 
-def kernel_basis(m: MatK) -> list:
-    """Exact basis of the right null space (empty list iff m is invertible)."""
-    rows = [list(r) for r in m.rows]
-    pivots = _rref(rows)
-    free = [c for c in range(9) if c not in pivots]
+def _null_space(rows, pivots) -> list:
+    """Kernel basis read from a reduced row echelon form; only the first nine
+    columns are read, so an augmented system yields the kernel of its matrix."""
     basis = []
-    for fc in free:
+    for fc in (c for c in range(9) if c not in pivots):
         vec = [ZERO] * 9
         vec[fc] = ONE
         for r, pc in enumerate(pivots):
             vec[pc] = -rows[r][fc]
         basis.append(tuple(vec))
     return basis
+
+
+def kernel_basis(m: MatK) -> list:
+    """Exact basis of the right null space (empty list iff m is invertible)."""
+    rows = [list(r) for r in m.rows]
+    return _null_space(rows, _rref(rows))
 
 
 def solve_affine(m: MatK, rhs):
@@ -193,7 +197,7 @@ def solve_affine(m: MatK, rhs):
     particular = [ZERO] * 9
     for r, pc in enumerate(pivots):
         particular[pc] = rows[r][9]
-    return tuple(particular), kernel_basis(m)
+    return tuple(particular), _null_space(rows, pivots)
 
 
 # Complementary ordering: position k holds the monomial whose product with

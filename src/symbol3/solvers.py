@@ -17,8 +17,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .algebra import SymbolAlgebra, SymbolElement
-from .cyclotomic import CycQ
-from .representations import gamma_mat, kernel_basis, lambda_mat, solve_affine, vec_rep
+from .cyclotomic import ZERO
+from .representations import MatK, gamma_mat, kernel_basis, lambda_mat, solve_affine, vec_rep
 
 
 class HypothesisViolated(ValueError):
@@ -48,14 +48,12 @@ class SolutionSet:
     verdict: Verdict
     notes: tuple = field(default_factory=tuple)
 
-    def elements(self, *coefficients):
-        """particular + sum(c_i * kernel_i) for spot checks."""
+    def contains(self, z: SymbolElement) -> bool:
+        """True iff z solves the equation: z - particular lies in the kernel span."""
         if self.particular is None:
-            raise ValueError("no solution to instantiate")
-        out = self.particular
-        for c, k in zip(coefficients, self.kernel):
-            out = out + k.scale(c)
-        return out
+            return False
+        cols = [k.coeffs for k in self.kernel] + [(ZERO,) * 9] * (9 - len(self.kernel))
+        return solve_affine(MatK(zip(*cols)), (z - self.particular).coeffs) is not None
 
 
 def _classify(particular, kernel, algebra, notes=()) -> SolutionSet:
@@ -75,7 +73,7 @@ def solve_commute(a: SymbolElement) -> SolutionSet:
     """All Z with A Z = Z A; the kernel always contains 1 and A."""
     algebra = a.algebra
     kern = kernel_basis(lambda_mat(a) - gamma_mat(a))
-    zero = tuple([CycQ(0)] * 9)
+    zero = (ZERO,) * 9
     return _classify(zero, kern, algebra)
 
 
@@ -100,35 +98,29 @@ def solve_intertwine(a: SymbolElement, b: SymbolElement) -> SolutionSet:
             "invertible kernel element found; necessary condition "
             f"tau(A)=tau(B), eta(A)=eta(B): {'holds' if cond else 'VIOLATED'}"
         )
-    zero = tuple([CycQ(0)] * 9)
+    zero = (ZERO,) * 9
     return _classify(zero, kern, algebra, notes)
 
 
-def solve_commutator(a: SymbolElement, c: SymbolElement) -> SolutionSet:
-    """All Z with A Z - Z A = C; never unique (the kernel contains 1 and A)."""
-    a._check_same(c)
-    out = solve_affine(lambda_mat(a) - gamma_mat(a), vec_rep(c))
-    if out is None:
-        return _classify(None, (), a.algebra)
-    return _classify(out[0], out[1], a.algebra)
-
-
-def solve_sylvester(a: SymbolElement, b: SymbolElement, c: SymbolElement) -> SolutionSet:
-    """All Z with A Z - Z B = C; unique iff Lambda(A) - Gamma(B) is invertible."""
-    a._check_same(b)
-    a._check_same(c)
+def _solve_linear(a: SymbolElement, b: SymbolElement, c: SymbolElement) -> SolutionSet:
+    """All Z with A Z - Z B = C, from one elimination of the augmented system."""
     out = solve_affine(lambda_mat(a) - gamma_mat(b), vec_rep(c))
     if out is None:
         return _classify(None, (), a.algebra)
     return _classify(out[0], out[1], a.algebra)
 
 
-def residual_commutator(a, z, c) -> SymbolElement:
-    return a * z - z * a - c
+def solve_commutator(a: SymbolElement, c: SymbolElement) -> SolutionSet:
+    """All Z with A Z - Z A = C; never unique (the kernel contains 1 and A)."""
+    a._check_same(c)
+    return _solve_linear(a, a, c)
 
 
-def residual_sylvester(a, b, z, c) -> SymbolElement:
-    return a * z - z * b - c
+def solve_sylvester(a: SymbolElement, b: SymbolElement, c: SymbolElement) -> SolutionSet:
+    """All Z with A Z - Z B = C; unique iff Lambda(A) - Gamma(B) is invertible."""
+    a._check_same(b)
+    a._check_same(c)
+    return _solve_linear(a, b, c)
 
 
 _STRUCTURED_HYPOTHESES = (

@@ -41,6 +41,7 @@ from .solvers import (
     solve_intertwine,
     solve_sylvester,
     structured_instance_search,
+    structured_solutions,
 )
 
 PARAM_CHOICES = (
@@ -48,6 +49,7 @@ PARAM_CHOICES = (
     (CycQ(2), CycQ(3)),
     (OMEGA, ONE + OMEGA),
 )
+ALGEBRAS = tuple(SymbolAlgebra(a, b) for a, b in PARAM_CHOICES)
 
 
 def random_scalar(rng: random.Random) -> CycQ:
@@ -60,6 +62,78 @@ def random_scalar(rng: random.Random) -> CycQ:
 
 def random_element(rng: random.Random, algebra: SymbolAlgebra) -> SymbolElement:
     return algebra.element([random_scalar(rng) for _ in range(9)])
+
+
+def sample_pairs(rng: random.Random, count: int):
+    """count pairs (z, w) of random elements per algebra in ALGEBRAS."""
+    for algebra in ALGEBRAS:
+        for _ in range(count):
+            yield random_element(rng, algebra), random_element(rng, algebra)
+
+
+# Sampled identity checks shared by the battery and the acceptance tests; each
+# draws from rng and returns its number of failed identities.
+def morphism_failures(rng: random.Random, count: int) -> int:
+    bad = 0
+    for z, w in sample_pairs(rng, count):
+        lam_z, lam_w = lambda_mat(z), lambda_mat(w)
+        gam_z, gam_w = gamma_mat(z), gamma_mat(w)
+        prod = z * w
+        bad += lambda_mat(prod) != lam_z * lam_w
+        bad += gamma_mat(prod) != gam_w * gam_z
+        bad += lam_z * gam_w != gam_w * lam_z
+    return bad
+
+
+def norm_trace_failures(rng: random.Random, count: int) -> int:
+    bad = 0
+    for z, w in sample_pairs(rng, count):
+        eta = z.reduced_norm()
+        d = det(lambda_mat(z))
+        bad += d != eta * eta * eta
+        bad += det(gamma_mat(z)) != d
+        bad += lambda_mat(z).trace() != 9 * z.coeffs[0]
+        bad += z.reduced_trace() * 3 != lambda_mat(z).trace()
+        bad += (z * w).reduced_norm() != eta * w.reduced_norm()
+    return bad
+
+
+def char_poly_failures(rng: random.Random, count: int) -> int:
+    bad = 0
+    for z, w in sample_pairs(rng, count):
+        tau, pi, eta = z.char_poly()
+        zs = z.adjoint()
+        algebra = z.algebra
+        bad += z * zs != algebra.scalar(eta) or zs * z != algebra.scalar(eta)
+        bad += zs.adjoint() != z.scale(eta)
+        bad += (z * w).adjoint() != w.adjoint() * z.adjoint()
+        bad += pi != zs.reduced_trace()
+        bad += pi + pi != tau * tau - (z * z).reduced_trace()
+        bad += (z * w).pi_form() != (w * z).pi_form()
+        bad += (z * w).reduced_trace() != (w * z).reduced_trace()
+        bad += bool(z * z * z - (z * z).scale(tau) + z.scale(pi) - algebra.scalar(eta))
+    return bad
+
+
+def twist_unit_failures(rng: random.Random, count: int) -> int:
+    """Twist invariance of both determinants at a = b = 1 (ALGEBRAS[0])."""
+    bad = 0
+    for _ in range(count):
+        z = random_element(rng, ALGEBRAS[0])
+        d = det(lambda_mat(z))
+        for k in (1, 2):
+            zt = z.twist(k)
+            bad += det(lambda_mat(zt)) != d or det(gamma_mat(zt)) != d
+    return bad
+
+
+def reconstruction_failures(rng: random.Random, count: int) -> int:
+    bad = 0
+    for algebra in ALGEBRAS:
+        for _ in range(count):
+            z = random_element(rng, algebra)
+            bad += reconstruct(z) != z.scale(3)
+    return bad
 
 
 @dataclass
@@ -84,39 +158,21 @@ class Context:
         self.samples = samples
         self.seed = seed
         self.corrupt_fixture = corrupt_fixture
-        self.algebras = tuple(SymbolAlgebra(a, b) for a, b in PARAM_CHOICES)
 
     def rng(self, name: str) -> random.Random:
         # Per-check stream so adding checks never reshuffles existing ones.
         return random.Random(f"{self.seed}:{name}")
 
 
-def _sample_pairs(ctx: Context, name: str):
-    rng = ctx.rng(name)
-    for algebra in ctx.algebras:
-        for _ in range(ctx.samples):
-            yield random_element(rng, algebra), random_element(rng, algebra)
-
-
 def _check_morphisms(ctx: Context):
-    bad = 0
-    for z, w in _sample_pairs(ctx, "morphisms"):
-        lam_z, lam_w = lambda_mat(z), lambda_mat(w)
-        gam_z, gam_w = gamma_mat(z), gamma_mat(w)
-        prod = z * w
-        if lambda_mat(prod) != lam_z * lam_w:
-            bad += 1
-        if gamma_mat(prod) != gam_w * gam_z:
-            bad += 1
-        if lam_z * gam_w != gam_w * lam_z:
-            bad += 1
-    return bad == 0, f"{3 * ctx.samples * len(ctx.algebras)} identities, {bad} failures"
+    bad = morphism_failures(ctx.rng("morphisms"), ctx.samples)
+    return bad == 0, f"{3 * ctx.samples * len(ALGEBRAS)} identities, {bad} failures"
 
 
 def _check_vector_rep(ctx: Context):
     bad = 0
     e1 = tuple([ONE] + [CycQ(0)] * 8)
-    for z, w in _sample_pairs(ctx, "vector_rep"):
+    for z, w in sample_pairs(ctx.rng("vector_rep"), ctx.samples):
         lam, gam = lambda_mat(z), gamma_mat(z)
         if lam.apply(e1) != vec_rep(z) or gam.apply(e1) != vec_rep(z):
             bad += 1
@@ -128,61 +184,17 @@ def _check_vector_rep(ctx: Context):
 
 
 def _check_norm_trace(ctx: Context):
-    bad = 0
-    for z, w in _sample_pairs(ctx, "norm_trace"):
-        eta = z.reduced_norm()
-        d = det(lambda_mat(z))
-        if d != eta * eta * eta:
-            bad += 1
-        if det(gamma_mat(z)) != d:
-            bad += 1
-        if lambda_mat(z).trace() != 9 * z.coeffs[0]:
-            bad += 1
-        if z.reduced_trace() * 3 != lambda_mat(z).trace():
-            bad += 1
-        if (z * w).reduced_norm() != eta * w.reduced_norm():
-            bad += 1
+    bad = norm_trace_failures(ctx.rng("norm_trace"), ctx.samples)
     return bad == 0, f"det/trace/multiplicativity, {bad} failures"
 
 
 def _check_char_poly(ctx: Context):
-    bad = 0
-    for z, w in _sample_pairs(ctx, "char_poly"):
-        tau, pi, eta = z.char_poly()
-        zs = z.adjoint()
-        algebra = z.algebra
-        if z * zs != algebra.scalar(eta) or zs * z != algebra.scalar(eta):
-            bad += 1
-        if zs.adjoint() != z.scale(eta):
-            bad += 1
-        if (z * w).adjoint() != w.adjoint() * z.adjoint():
-            bad += 1
-        if pi != zs.reduced_trace():
-            bad += 1
-        two_pi = tau * tau - (z * z).reduced_trace()
-        if pi + pi != two_pi:
-            bad += 1
-        if (z * w).pi_form() != (w * z).pi_form():
-            bad += 1
-        if (z * w).reduced_trace() != (w * z).reduced_trace():
-            bad += 1
-        ch = z * z * z - (z * z).scale(tau) + z.scale(pi) - algebra.scalar(eta)
-        if ch:
-            bad += 1
+    bad = char_poly_failures(ctx.rng("char_poly"), ctx.samples)
     return bad == 0, f"adjoint/char-poly batteries, {bad} failures"
 
 
 def _check_twist_unit(ctx: Context):
-    rng = ctx.rng("twist_unit")
-    algebra = ctx.algebras[0]
-    bad = 0
-    for _ in range(ctx.samples):
-        z = random_element(rng, algebra)
-        d = det(lambda_mat(z))
-        for k in (1, 2):
-            zt = z.twist(k)
-            if det(lambda_mat(zt)) != d or det(gamma_mat(zt)) != d:
-                bad += 1
+    bad = twist_unit_failures(ctx.rng("twist_unit"), ctx.samples)
     return bad == 0, f"unit-parameter twist invariance, {bad} failures"
 
 
@@ -190,7 +202,7 @@ def _check_twist_probe(ctx: Context):
     rng = ctx.rng("twist_probe")
     held = 0
     total = 0
-    for algebra in ctx.algebras[1:]:
+    for algebra in ALGEBRAS[1:]:
         for _ in range(min(ctx.samples, 10)):
             z = random_element(rng, algebra)
             total += 1
@@ -200,13 +212,7 @@ def _check_twist_probe(ctx: Context):
 
 
 def _check_reconstruction(ctx: Context):
-    rng = ctx.rng("reconstruction")
-    bad = 0
-    for algebra in ctx.algebras:
-        for _ in range(ctx.samples):
-            z = random_element(rng, algebra)
-            if reconstruct(z) != z.scale(3):
-                bad += 1
+    bad = reconstruction_failures(ctx.rng("reconstruction"), ctx.samples)
     return bad == 0, f"both frame routes recover 3z, {bad} failures"
 
 
@@ -214,7 +220,7 @@ def _check_reconstruction_variant(ctx: Context):
     rng = ctx.rng("reconstruction_variant")
     ok = True
     details = []
-    for algebra, expect_match in ((ctx.algebras[0], True), (ctx.algebras[1], False)):
+    for algebra, expect_match in ((ALGEBRAS[0], True), (ALGEBRAS[1], False)):
         z = random_element(rng, algebra)
         (m9, n9), _ = transcribed_reconstruction_frames(algebra)
         got = _mixed_product(m9, lambda_mat(z), n9, algebra)
@@ -244,17 +250,15 @@ def _check_fixtures(ctx: Context):
 def _check_commute(ctx: Context):
     rng = ctx.rng("commute")
     bad = 0
-    for algebra in ctx.algebras:
+    for algebra in ALGEBRAS:
         one = algebra.one()
         for _ in range(ctx.samples):
             a = random_element(rng, algebra)
             if det(lambda_mat(a) - gamma_mat(a)):
                 bad += 1
             sol = solve_commute(a)
-            needed = {vec_rep(one), vec_rep(a)}
-            span_rows = [list(vec_rep(k)) for k in sol.kernel]
-            for target in needed:
-                if not _in_span(span_rows, target):
+            for target in {one, a}:
+                if not sol.contains(target):
                     bad += 1
             for k in sol.kernel[:2]:
                 if a * k != k * a:
@@ -262,19 +266,9 @@ def _check_commute(ctx: Context):
     return bad == 0, f"singular commutator matrix + kernel membership, {bad} failures"
 
 
-def _in_span(rows, target) -> bool:
-    from .representations import _rref
-
-    mat = [list(r) for r in rows] + [list(target)]
-    before = [list(r) for r in rows]
-    pivots_before = _rref(before)
-    pivots_after = _rref(mat)
-    return len(pivots_before) == len(pivots_after)
-
-
 def _check_centralizer_x(ctx: Context):
     bad = 0
-    for algebra in ctx.algebras:
+    for algebra in ALGEBRAS:
         sol = solve_commute(algebra.x())
         if len(sol.kernel) != 3:
             bad += 1
@@ -288,9 +282,9 @@ def _check_sylvester(ctx: Context):
     rng = ctx.rng("sylvester")
     bad = 0
     rounds = 0
-    for algebra in ctx.algebras:
+    for i, algebra in enumerate(ALGEBRAS):
         tries = 0
-        while rounds < 5 * (1 + ctx.algebras.index(algebra)) and tries < 40:
+        while rounds < 5 * (1 + i) and tries < 40:
             tries += 1
             a = random_element(rng, algebra)
             b = random_element(rng, algebra)
@@ -308,7 +302,7 @@ def _check_sylvester(ctx: Context):
 def _check_commutator(ctx: Context):
     rng = ctx.rng("commutator")
     bad = 0
-    for algebra in ctx.algebras:
+    for algebra in ALGEBRAS:
         x = algebra.x()
         if solve_commutator(x, algebra.one()).verdict != Verdict.NO_SOLUTION:
             bad += 1
@@ -329,9 +323,9 @@ def _check_intertwine(ctx: Context):
     rng = ctx.rng("intertwine")
     bad = 0
     done = 0
-    for algebra in ctx.algebras:
+    for i, algebra in enumerate(ALGEBRAS):
         tries = 0
-        while done < 3 * (1 + ctx.algebras.index(algebra)) and tries < 40:
+        while done < 3 * (1 + i) and tries < 40:
             tries += 1
             a = random_element(rng, algebra)
             w = random_element(rng, algebra)
@@ -340,8 +334,7 @@ def _check_intertwine(ctx: Context):
             b = w.inverse() * a * w
             sol = solve_intertwine(a, b)
             done += 1
-            span_rows = [list(vec_rep(k)) for k in sol.kernel]
-            if not _in_span(span_rows, vec_rep(w)):
+            if not sol.contains(w):
                 bad += 1
             if a * w != w * b:
                 bad += 1
@@ -349,7 +342,7 @@ def _check_intertwine(ctx: Context):
 
 
 def _check_structured(ctx: Context):
-    res = structured_instance_search(ctx.algebras[0], bound=1)
+    res = structured_instance_search(ALGEBRAS[0], bound=1)
     rng = ctx.rng("structured")
     bad = 0
     if not res["verified"]:
@@ -366,8 +359,6 @@ def _check_structured(ctx: Context):
     if defect_count == 0:
         bad += 1
     try:
-        from .solvers import structured_solutions
-
         structured_solutions(*res["defective"][0])
         bad += 1
     except VerificationFailed:
@@ -400,7 +391,7 @@ def _check_sequences(ctx: Context):
 def _check_fib_elements(ctx: Context):
     rng = ctx.rng("fib_elements")
     bad = 0
-    for algebra in ctx.algebras:
+    for algebra in ALGEBRAS:
         for _ in range(10):
             n = rng.randint(0, 25)
             if fib_element(n, algebra) + fib_element(n + 1, algebra) != fib_element(n + 2, algebra):

@@ -5,32 +5,33 @@ import json
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
-from symbol3.algebra import SymbolAlgebra
-from symbol3.cyclotomic import CycQ, OMEGA, ONE
+from symbol3.cyclotomic import CycQ
 from symbol3.fibonacci import (
     closed_form_norm,
     fib_element,
     fib_identity_suite,
     invertibility_scan,
-    omega_free_block_candidate,
     run_lemma_suite,
 )
-from symbol3.representations import det, gamma_mat, lambda_mat, reconstruct
+from symbol3.representations import det, gamma_mat, lambda_mat
 from symbol3.solvers import (
     Verdict,
     solve_commute,
     solve_sylvester,
     structured_instance_search,
 )
-
-PARAMS = (
-    SymbolAlgebra(CycQ(1), CycQ(1)),
-    SymbolAlgebra(CycQ(2), CycQ(3)),
-    SymbolAlgebra(OMEGA, ONE + OMEGA),
+from symbol3.verify import (
+    ALGEBRAS,
+    char_poly_failures,
+    morphism_failures,
+    norm_trace_failures,
+    random_element,
+    reconstruction_failures,
+    twist_unit_failures,
 )
-UNIT = PARAMS[0]
+
+UNIT = ALGEBRAS[0]
 
 
 def report(number: int, title: str, passed: bool):
@@ -38,82 +39,28 @@ def report(number: int, title: str, passed: bool):
     assert passed, f"criterion {number} failed: {title}"
 
 
-def rand_element(rng, algebra):
-    return algebra.element(
-        [
-            CycQ(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))),
-                 Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))))
-            for _ in range(9)
-        ]
-    )
-
-
-def seeded_pairs(seed, count):
-    rng = random.Random(seed)
-    for algebra in PARAMS:
-        for _ in range(count):
-            yield rand_element(rng, algebra), rand_element(rng, algebra)
-
-
 def test_criterion_1_morphism_battery():
-    ok = True
-    for z1, z2 in seeded_pairs(101, 100):
-        lam1, lam2 = lambda_mat(z1), lambda_mat(z2)
-        gam1, gam2 = gamma_mat(z1), gamma_mat(z2)
-        prod = z1 * z2
-        ok = ok and lambda_mat(prod) == lam1 * lam2
-        ok = ok and gamma_mat(prod) == gam2 * gam1
-        ok = ok and lam1 * gam2 == gam2 * lam1
+    ok = morphism_failures(random.Random(101), 100) == 0
     report(1, "morphism battery (100 pairs x 3 parameter choices)", ok)
 
 
 def test_criterion_2_norm_trace_coherence():
-    ok = True
-    for z, _ in seeded_pairs(101, 100):
-        eta = z.reduced_norm()
-        d = det(lambda_mat(z))
-        ok = ok and d == eta * eta * eta
-        ok = ok and lambda_mat(z).trace() == 9 * z.coeffs[0]
-        ok = ok and det(gamma_mat(z)) == d
+    ok = norm_trace_failures(random.Random(101), 100) == 0
     report(2, "norm/trace coherence on the same samples", ok)
 
 
 def test_criterion_3_adjoint_battery():
-    ok = True
-    for z, w in seeded_pairs(103, 100):
-        algebra = z.algebra
-        tau, pi, eta = z.char_poly()
-        zs = z.adjoint()
-        ok = ok and z * zs == algebra.scalar(eta) and zs * z == algebra.scalar(eta)
-        ok = ok and zs.adjoint() == z.scale(eta)
-        ok = ok and (z * w).adjoint() == w.adjoint() * z.adjoint()
-        ok = ok and pi == zs.reduced_trace()
-        ok = ok and pi + pi == tau * tau - (z * z).reduced_trace()
-        ok = ok and (z * w).pi_form() == (w * z).pi_form()
-        ok = ok and z * z * z - (z * z).scale(tau) + z.scale(pi) - algebra.scalar(eta) == algebra.zero()
+    ok = char_poly_failures(random.Random(103), 100) == 0
     report(3, "adjoint / characteristic-polynomial battery (100 samples)", ok)
 
 
 def test_criterion_4_twist_invariance():
-    rng = random.Random(104)
-    ok = True
-    for _ in range(100):
-        z = rand_element(rng, UNIT)
-        d = det(lambda_mat(z))
-        for k in (1, 2):
-            zt = z.twist(k)
-            ok = ok and det(lambda_mat(zt)) == d
-            ok = ok and det(gamma_mat(zt)) == d
+    ok = twist_unit_failures(random.Random(104), 100) == 0
     report(4, "twist invariance of both determinants at a=b=1 (100 samples)", ok)
 
 
 def test_criterion_5_reconstruction():
-    ok = True
-    rng = random.Random(105)
-    for algebra in PARAMS:
-        for _ in range(50):
-            z = rand_element(rng, algebra)
-            ok = ok and reconstruct(z) == z.scale(3)
+    ok = reconstruction_failures(random.Random(105), 50) == 0
     report(5, "reconstruction recovers 3z on both routes (50 x 3 samples)", ok)
 
 
@@ -122,21 +69,21 @@ def test_criterion_6_solvers():
     ok = True
     # (i) the centralizer system is always singular
     for _ in range(100):
-        a = rand_element(rng, UNIT)
+        a = random_element(rng, UNIT)
         ok = ok and det(lambda_mat(a) - gamma_mat(a)) == CycQ(0)
     # (ii) construct-then-solve round trips whenever the system is regular
     trips = 0
     while trips < 12:
-        algebra = PARAMS[trips % 3]
-        a, b = rand_element(rng, algebra), rand_element(rng, algebra)
+        algebra = ALGEBRAS[trips % 3]
+        a, b = random_element(rng, algebra), random_element(rng, algebra)
         if not det(lambda_mat(a) - gamma_mat(b)):
             continue
-        w = rand_element(rng, algebra)
+        w = random_element(rng, algebra)
         sol = solve_sylvester(a, b, a * w - w * b)
         ok = ok and sol.verdict == Verdict.UNIQUE and sol.particular == w
         trips += 1
     # (iii) the centralizer of x is exactly span(1, x, x^2)
-    for algebra in PARAMS:
+    for algebra in ALGEBRAS:
         sol = solve_commute(algebra.x())
         ok = ok and len(sol.kernel) == 3
         ok = ok and all(not k.coeffs[i] for k in sol.kernel for i in range(3, 9))
@@ -169,8 +116,7 @@ def test_criterion_8_norm_closed_form_and_lemmas():
 
 def test_criterion_9_invertibility():
     rep = invertibility_scan(100)
-    ok = rep["all_invertible"]
-    ok = ok and all(omega_free_block_candidate(n) > 0 for n in range(101))
+    ok = rep["all_invertible"] and rep["omega_free_block_positive"]
     one = UNIT.one()
     for n in (0, 1, 50, 100):
         fe = fib_element(n)

@@ -14,21 +14,9 @@ from symbol3.algebra import (
 )
 from symbol3.cyclotomic import CycQ, OMEGA, ONE, ZERO
 from symbol3.representations import det, lambda_mat
+from symbol3.verify import ALGEBRAS, random_element
 
-UNIT = SymbolAlgebra(CycQ(1), CycQ(1))
-GENERIC = SymbolAlgebra(CycQ(2), CycQ(3))
-TWISTED = SymbolAlgebra(OMEGA, ONE + OMEGA)
-ALGEBRAS = (UNIT, GENERIC, TWISTED)
-
-
-def rand_element(rng, algebra):
-    return algebra.element(
-        [
-            CycQ(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))),
-                 Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))))
-            for _ in range(9)
-        ]
-    )
+UNIT, GENERIC, TWISTED = ALGEBRAS
 
 
 def test_algebra_rejects_zero_parameters():
@@ -61,7 +49,7 @@ def test_mul_unit_and_normal_form():
     rng = random.Random(3)
     for algebra in ALGEBRAS:
         one = algebra.one()
-        z = rand_element(rng, algebra)
+        z = random_element(rng, algebra)
         assert one * z == z and z * one == z
         xy = algebra.x() * algebra.y()
         assert xy.coeffs[5] == ONE and sum(1 for c in xy.coeffs if c) == 1
@@ -71,7 +59,7 @@ def test_mul_associative_on_random_triples():
     rng = random.Random(4)
     for algebra in ALGEBRAS:
         for _ in range(5):
-            z, w, u = (rand_element(rng, algebra) for _ in range(3))
+            z, w, u = (random_element(rng, algebra) for _ in range(3))
             assert (z * w) * u == z * (w * u)
 
 
@@ -97,7 +85,7 @@ def test_reduced_trace():
     assert z.reduced_trace() == CycQ(6, 3)
     # oracle: the trace of the generated 9x9 left representation, divided by 3
     for algebra in ALGEBRAS:
-        z = rand_element(rng, algebra)
+        z = random_element(rng, algebra)
         assert 3 * z.reduced_trace() == lambda_mat(z).trace()
 
 
@@ -106,7 +94,7 @@ def test_pi_form():
     assert UNIT.one().pi_form() == CycQ(3)
     assert UNIT.x().pi_form() == ZERO
     for algebra in ALGEBRAS:
-        z, w = rand_element(rng, algebra), rand_element(rng, algebra)
+        z, w = random_element(rng, algebra), random_element(rng, algebra)
         assert (z * w).pi_form() == (w * z).pi_form()
 
 
@@ -125,7 +113,7 @@ def test_char_poly():
     assert (tau, pi, eta) == (ZERO, ZERO, GENERIC.a)
     rng = random.Random(7)
     for algebra in ALGEBRAS:
-        z = rand_element(rng, algebra)
+        z = random_element(rng, algebra)
         tau, pi, eta = z.char_poly()
         assert z * z * z - (z * z).scale(tau) + z.scale(pi) - algebra.scalar(eta) == algebra.zero()
 
@@ -137,7 +125,7 @@ def test_adjoint():
         assert one.adjoint() == one
         assert x.adjoint() == algebra.monomial(2)
         assert x * x.adjoint() == algebra.scalar(algebra.a)
-        z, w = rand_element(rng, algebra), rand_element(rng, algebra)
+        z, w = random_element(rng, algebra), random_element(rng, algebra)
         eta = z.reduced_norm()
         assert z * z.adjoint() == algebra.scalar(eta)
         assert z.adjoint() * z == algebra.scalar(eta)
@@ -151,7 +139,7 @@ def test_inverse():
     for algebra in ALGEBRAS:
         assert algebra.one().inverse() == algebra.one()
         assert algebra.x().inverse() == algebra.monomial(2, algebra.a.inverse())
-        z = rand_element(rng, algebra)
+        z = random_element(rng, algebra)
         if z.reduced_norm():
             assert z * z.inverse() == algebra.one()
             assert z.inverse() * z == algebra.one()
@@ -164,7 +152,7 @@ def test_inverse():
 def test_norm_multiplicative():
     rng = random.Random(10)
     for algebra in ALGEBRAS:
-        z, w = rand_element(rng, algebra), rand_element(rng, algebra)
+        z, w = random_element(rng, algebra), random_element(rng, algebra)
         assert (z * w).reduced_norm() == z.reduced_norm() * w.reduced_norm()
 
 
@@ -174,7 +162,7 @@ def test_twist():
     assert z.twist(1) == z  # no y-coefficients
     assert UNIT.y().twist(1) == UNIT.monomial(3, OMEGA)
     for algebra in ALGEBRAS:
-        w = rand_element(rng, algebra)
+        w = random_element(rng, algebra)
         assert w.twist(1).twist(1) == w.twist(2)
         assert w.twist(1).twist(2) == w
     with pytest.raises(ValueError):

@@ -42,6 +42,40 @@ def test_malformed_scalar_exit_code():
     assert proc.returncode == 2
 
 
+def test_library_value_error_exit_code():
+    # ValueErrors raised below the CLI end in one error line and exit 2
+    for args in (("fib", "--n", "-1"), ("fib", "--n", "8000", "--check-invertible")):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_vacuous_arguments_rejected():
+    for args in (
+        ("verify", "--nmax", "-5", "--samples", "0"),
+        ("verify", "--samples", "0"),
+        ("verify", "--nmax", "0"),
+        ("fib", "--scan", "-3"),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert "must be >=" in proc.stderr
+
+
+def test_ambiguous_element_sources_rejected(tmp_path):
+    one = "1,0,0,0,0,0,0,0,0"
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"a": "1", "b": "1", "coeffs": one.split(",")}))
+    for args in (
+        ("norm", "--in", str(path), "--coeffs", one),
+        ("mul", "--coeffs", one, "--in2", str(path), "--coeffs2", one),
+        ("solve", "--eq", "commute", "--A", one, "--A-in", str(path)),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert "not allowed with" in proc.stderr
+
+
 def test_fib_check_invertible():
     proc = run_cli("fib", "--n", "5", "--check-invertible")
     assert proc.returncode == 0

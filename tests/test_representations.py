@@ -1,8 +1,6 @@
 import random
-from fractions import Fraction
 
-from symbol3.algebra import SymbolAlgebra
-from symbol3.cyclotomic import CycQ, OMEGA, ONE, ZERO
+from symbol3.cyclotomic import CycQ, ONE, ZERO
 from symbol3.fixtures import fixture_reports, transcribed_reconstruction_frames
 from symbol3.representations import (
     MatK,
@@ -16,21 +14,9 @@ from symbol3.representations import (
     solve_affine,
     vec_rep,
 )
+from symbol3.verify import ALGEBRAS, random_element
 
-UNIT = SymbolAlgebra(CycQ(1), CycQ(1))
-GENERIC = SymbolAlgebra(CycQ(2), CycQ(3))
-TWISTED = SymbolAlgebra(OMEGA, ONE + OMEGA)
-ALGEBRAS = (UNIT, GENERIC, TWISTED)
-
-
-def rand_element(rng, algebra):
-    return algebra.element(
-        [
-            CycQ(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))),
-                 Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))))
-            for _ in range(9)
-        ]
-    )
+UNIT, GENERIC, TWISTED = ALGEBRAS
 
 
 def test_lambda_of_one_is_identity():
@@ -43,7 +29,7 @@ def test_first_column_is_the_coefficient_vector():
     rng = random.Random(20)
     e1 = tuple([ONE] + [ZERO] * 8)
     for algebra in ALGEBRAS:
-        z = rand_element(rng, algebra)
+        z = random_element(rng, algebra)
         assert lambda_mat(z).apply(e1) == z.coeffs
         assert gamma_mat(z).apply(e1) == z.coeffs
 
@@ -51,7 +37,7 @@ def test_first_column_is_the_coefficient_vector():
 def test_morphism_properties():
     rng = random.Random(21)
     for algebra in ALGEBRAS:
-        z, w = rand_element(rng, algebra), rand_element(rng, algebra)
+        z, w = random_element(rng, algebra), random_element(rng, algebra)
         assert lambda_mat(z * w) == lambda_mat(z) * lambda_mat(w)
         assert gamma_mat(z * w) == gamma_mat(w) * gamma_mat(z)
         assert lambda_mat(z) * gamma_mat(w) == gamma_mat(w) * lambda_mat(z)
@@ -63,7 +49,7 @@ def test_vector_representation_round_trip_and_action():
         assert vec_rep(algebra.x()) == tuple(
             ONE if i == 1 else ZERO for i in range(9)
         )
-        z, w = rand_element(rng, algebra), rand_element(rng, algebra)
+        z, w = random_element(rng, algebra), random_element(rng, algebra)
         assert element_from_vec(vec_rep(z), algebra) == z
         assert lambda_mat(z).apply(vec_rep(w)) == vec_rep(z * w)
         assert gamma_mat(z).apply(vec_rep(w)) == vec_rep(w * z)
@@ -75,14 +61,14 @@ def test_det_examples():
         a = algebra.a
         assert det(lambda_mat(algebra.x())) == a * a * a
         rng = random.Random(23)
-        z = rand_element(rng, algebra)
+        z = random_element(rng, algebra)
         assert det(lambda_mat(z) - gamma_mat(z)) == ZERO
 
 
 def test_det_matches_norm_cube():
     rng = random.Random(24)
     for algebra in ALGEBRAS:
-        z = rand_element(rng, algebra)
+        z = random_element(rng, algebra)
         eta = z.reduced_norm()
         assert det(lambda_mat(z)) == eta * eta * eta
         assert det(gamma_mat(z)) == det(lambda_mat(z))
@@ -114,13 +100,17 @@ def test_solve_affine():
     assert solve_affine(MatK.zero(), v) is None
     assert solve_affine(MatK.zero(), tuple([ZERO] * 9)) is not None
     for algebra in ALGEBRAS:
-        z = rand_element(rng, algebra)
+        z = random_element(rng, algebra)
         m = lambda_mat(z)
         rhs = m.apply(v)
         out = solve_affine(m, rhs)
         assert out is not None
         particular, kern = out
         assert m.apply(particular) == rhs
+        # the kernel read from the augmented elimination is kernel_basis's
+        singular = m - gamma_mat(z)
+        assert solve_affine(singular, (ZERO,) * 9)[1] == kernel_basis(singular)
+        assert solve_affine(singular, singular.apply(v))[1] == kernel_basis(singular)
 
 
 def test_reconstruct():
@@ -129,17 +119,17 @@ def test_reconstruct():
         one = algebra.one()
         assert reconstruct(one) == one.scale(3)
         assert reconstruct(algebra.x()) == algebra.x().scale(3)
-        z = rand_element(rng, algebra)
+        z = random_element(rng, algebra)
         assert reconstruct(z) == z.scale(3)
 
 
 def test_reconstruction_frame_variant_only_works_at_unit_parameters():
     rng = random.Random(27)
-    z = rand_element(rng, UNIT)
+    z = random_element(rng, UNIT)
     (m9, n9), (m10, n10) = transcribed_reconstruction_frames(UNIT)
     assert _mixed_product(m9, lambda_mat(z), n9, UNIT) == z.scale(3)
     assert _mixed_product(m10, gamma_mat(z).transpose(), n10, UNIT) == z.scale(3)
-    w = rand_element(rng, GENERIC)
+    w = random_element(rng, GENERIC)
     (m9, n9), (m10, n10) = transcribed_reconstruction_frames(GENERIC)
     # the transposed-right route is correct at any parameters ...
     assert _mixed_product(m10, gamma_mat(w).transpose(), n10, GENERIC) == w.scale(3)
