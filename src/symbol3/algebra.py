@@ -228,9 +228,11 @@ class SymbolElement:
 
     def pi_form(self) -> CycQ:
         """pi(z) = (tau(z)^2 - tau(z^2)) / 2."""
+        return self._pi_form(self * self)
+
+    def _pi_form(self, sq: "SymbolElement") -> CycQ:
         tau = self.reduced_trace()
-        tau_sq = (self * self).reduced_trace()
-        diff = tau * tau - tau_sq
+        diff = tau * tau - sq.reduced_trace()
         return CycQ(diff.r / 2, diff.s / 2)
 
     def reduced_norm(self) -> CycQ:
@@ -269,7 +271,7 @@ class SymbolElement:
     def adjoint(self) -> "SymbolElement":
         """z* = z^2 - tau(z) z + pi(z); satisfies z z* = z* z = eta(z)."""
         sq = self * self
-        return sq - self.scale(self.reduced_trace()) + self.algebra.scalar(self.pi_form())
+        return sq - self.scale(self.reduced_trace()) + self.algebra.scalar(self._pi_form(sq))
 
     def inverse(self) -> "SymbolElement":
         eta = self.reduced_norm()
@@ -312,6 +314,6 @@ def element_to_dict(z: SymbolElement) -> dict:
 def element_from_dict(data: dict) -> SymbolElement:
     algebra = SymbolAlgebra(CycQ.parse(data["a"]), CycQ.parse(data["b"]))
     coeffs = data["coeffs"]
-    if len(coeffs) != 9:
-        raise ValueError("element JSON needs exactly 9 coefficients")
+    if not isinstance(coeffs, list) or len(coeffs) != 9:
+        raise ValueError("element JSON needs a list of exactly 9 coefficients")
     return algebra.element([CycQ.parse(c) for c in coeffs])

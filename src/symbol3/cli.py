@@ -28,6 +28,7 @@ from .fibonacci import (
     UnsupportedParams,
     fib_element,
     generalized_element,
+    invertibility_row,
     invertibility_scan,
     run_lemma_suite,
 )
@@ -69,7 +70,7 @@ def _element_from_file(path: str) -> SymbolElement:
         return element_from_dict(data)
     except OSError as exc:
         raise InputError(f"cannot read element file: {exc}") from None
-    except (json.JSONDecodeError, KeyError, TypeError, ScalarFormatError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"bad element JSON in {path}: {exc}") from None
 
 
@@ -287,11 +288,7 @@ def _cmd_fib(args) -> int:
     else:
         element = fib_element(args.n, algebra)
     if args.check_invertible:
-        eta = element.reduced_norm()
-        invertible = bool(eta)
-        if invertible:
-            invertible = element * element.inverse() == algebra.one()
-        _emit({"n": args.n, "eta": str(eta), "invertible": invertible}, args)
+        _emit(invertibility_row(args.n, element), args)
     else:
         _emit(element_to_dict(element), args)
     return 0

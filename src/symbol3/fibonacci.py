@@ -180,6 +180,13 @@ def omega_free_block_candidate(n: int) -> int:
     return int(closed_form_norm_candidate(n).r)
 
 
+def invertibility_row(n: int, element: SymbolElement) -> dict:
+    """{"n", "eta", "invertible"}: eta(element) != 0 and element * element^-1 = 1."""
+    eta = element.reduced_norm()
+    invertible = bool(eta) and element * element.inverse() == element.algebra.one()
+    return {"n": n, "eta": str(eta), "invertible": invertible}
+
+
 def invertibility_scan(nmax: int, algebra: SymbolAlgebra = UNIT_ALGEBRA) -> dict:
     """For n = 0..nmax at a = b = 1: eta(F_n) != 0 and F_n * F_n^-1 = 1.
 
@@ -187,27 +194,15 @@ def invertibility_scan(nmax: int, algebra: SymbolAlgebra = UNIT_ALGEBRA) -> dict
     confirms positivity of the w-free candidate block on the same range.
     """
     _require_unit(algebra)
-    one = algebra.one()
-    rows = []
-    all_invertible = True
-    positivity = True
-    for n in range(nmax + 1):
-        fe = fib_element(n, algebra)
-        eta = fe.reduced_norm()
-        invertible = bool(eta)
-        if invertible:
-            invertible = fe * fe.inverse() == one
-        if not invertible:
-            all_invertible = False
-        if closed_form_norm(n) != eta:
-            all_invertible = False
-        if omega_free_block_candidate(n) <= 0:
-            positivity = False
-        rows.append({"n": n, "eta": str(eta), "invertible": invertible})
+    rows = [invertibility_row(n, fib_element(n, algebra)) for n in range(nmax + 1)]
     return {
         "rows": rows,
-        "all_invertible": all_invertible,
-        "omega_free_block_positive": positivity,
+        "all_invertible": all(
+            row["invertible"] and row["eta"] == str(closed_form_norm(row["n"])) for row in rows
+        ),
+        "omega_free_block_positive": all(
+            omega_free_block_candidate(n) > 0 for n in range(nmax + 1)
+        ),
     }
 
 

@@ -14,7 +14,7 @@ from symbol3.algebra import (
 )
 from symbol3.cyclotomic import CycQ, OMEGA, ONE, ZERO
 from symbol3.representations import det, lambda_mat
-from symbol3.verify import ALGEBRAS, random_element
+from symbol3.verify import ALGEBRAS, char_poly_failures, norm_trace_failures, random_element
 
 UNIT, GENERIC, TWISTED = ALGEBRAS
 
@@ -78,24 +78,18 @@ def test_params_mismatch_raises():
 
 
 def test_reduced_trace():
-    rng = random.Random(5)
     assert UNIT.one().reduced_trace() == CycQ(3)
     assert UNIT.x().reduced_trace() == ZERO
     z = GENERIC.element([CycQ(2, 1)] + [0] * 8)
     assert z.reduced_trace() == CycQ(6, 3)
     # oracle: the trace of the generated 9x9 left representation, divided by 3
-    for algebra in ALGEBRAS:
-        z = random_element(rng, algebra)
-        assert 3 * z.reduced_trace() == lambda_mat(z).trace()
+    assert norm_trace_failures(random.Random(5), 1) == 0
 
 
 def test_pi_form():
-    rng = random.Random(6)
     assert UNIT.one().pi_form() == CycQ(3)
     assert UNIT.x().pi_form() == ZERO
-    for algebra in ALGEBRAS:
-        z, w = random_element(rng, algebra), random_element(rng, algebra)
-        assert (z * w).pi_form() == (w * z).pi_form()
+    assert char_poly_failures(random.Random(6), 1) == 0
 
 
 def test_reduced_norm_examples():
@@ -111,27 +105,16 @@ def test_char_poly():
     assert UNIT.one().char_poly() == (CycQ(3), CycQ(3), CycQ(1))
     tau, pi, eta = GENERIC.x().char_poly()
     assert (tau, pi, eta) == (ZERO, ZERO, GENERIC.a)
-    rng = random.Random(7)
-    for algebra in ALGEBRAS:
-        z = random_element(rng, algebra)
-        tau, pi, eta = z.char_poly()
-        assert z * z * z - (z * z).scale(tau) + z.scale(pi) - algebra.scalar(eta) == algebra.zero()
+    assert char_poly_failures(random.Random(7), 1) == 0
 
 
 def test_adjoint():
-    rng = random.Random(8)
     for algebra in ALGEBRAS:
         one, x = algebra.one(), algebra.x()
         assert one.adjoint() == one
         assert x.adjoint() == algebra.monomial(2)
         assert x * x.adjoint() == algebra.scalar(algebra.a)
-        z, w = random_element(rng, algebra), random_element(rng, algebra)
-        eta = z.reduced_norm()
-        assert z * z.adjoint() == algebra.scalar(eta)
-        assert z.adjoint() * z == algebra.scalar(eta)
-        assert (z * w).adjoint() == w.adjoint() * z.adjoint()
-        assert z.adjoint().adjoint() == z.scale(eta)
-        assert z.pi_form() == z.adjoint().reduced_trace()
+    assert char_poly_failures(random.Random(8), 1) == 0
 
 
 def test_inverse():
@@ -150,10 +133,7 @@ def test_inverse():
 
 
 def test_norm_multiplicative():
-    rng = random.Random(10)
-    for algebra in ALGEBRAS:
-        z, w = random_element(rng, algebra), random_element(rng, algebra)
-        assert (z * w).reduced_norm() == z.reduced_norm() * w.reduced_norm()
+    assert norm_trace_failures(random.Random(10), 1) == 0
 
 
 def test_twist():

@@ -2,6 +2,11 @@ import json
 import subprocess
 import sys
 
+from hypothesis import given, settings, strategies as st
+
+from symbol3.algebra import SymbolElement
+from symbol3.cli import InputError, _element_from_file
+
 
 def run_cli(*args, input_text=None):
     return subprocess.run(
@@ -74,6 +79,47 @@ def test_ambiguous_element_sources_rejected(tmp_path):
         proc = run_cli(*args)
         assert proc.returncode == 2
         assert "not allowed with" in proc.stderr
+
+
+def test_malformed_element_file_exit_code(tmp_path):
+    # nine scalars in a string instead of a list; nesting past the recursion limit
+    path = tmp_path / "bad.json"
+    for text in (json.dumps({"a": "1", "b": "1", "coeffs": "123456789"}), "[" * 100_000):
+        path.write_text(text)
+        proc = run_cli("norm", "--in", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+GOOD_SCALAR = st.sampled_from(("0", "1", "-2/3", "1+1*w", "0-1/2*w"))
+SCALAR_TEXT = GOOD_SCALAR | st.text("0123456789+-*/w", max_size=10) | st.text(max_size=10)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | SCALAR_TEXT,
+    lambda inner: st.lists(inner, max_size=10) | st.dictionaries(SCALAR_TEXT, inner, max_size=10),
+    max_leaves=20,
+)
+# near misses: nine parseable scalars held in a string or an object, not a list
+NEAR_LISTS = st.text("0123456789", min_size=9, max_size=9) | st.dictionaries(
+    st.text("0123456789", min_size=1, max_size=3), GOOD_SCALAR, min_size=9, max_size=9)
+ELEMENT_LIKE = st.fixed_dictionaries({
+    "a": GOOD_SCALAR | JSON_VALUES,
+    "b": GOOD_SCALAR | JSON_VALUES,
+    "coeffs": st.lists(SCALAR_TEXT, min_size=8, max_size=10) | NEAR_LISTS | JSON_VALUES,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=JSON_VALUES | ELEMENT_LIKE)
+def test_element_reader_accepts_only_elements(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(data))
+    try:
+        z = _element_from_file(str(path))
+    except InputError:
+        return
+    assert isinstance(z, SymbolElement)
+    assert isinstance(data["coeffs"], list)
+    assert all(isinstance(t, str) for t in (data["a"], data["b"], *data["coeffs"]))
 
 
 def test_fib_check_invertible():

@@ -78,7 +78,8 @@ def test_generalized_element():
 
 
 def test_identity_suite():
-    assert all(ok for _, ok in fib_identity_suite(100))
+    rows = fib_identity_suite(100)
+    assert len(rows) == 7 and all(ok for _, ok in rows)
     # spot instances
     assert fib(1) ** 2 - fib(0) * fib(2) == 1
     assert fib(6) == fib(3) ** 2 + 2 * fib(3) * fib(2)
