@@ -74,27 +74,25 @@ def _element_from_file(path: str) -> SymbolElement:
         raise InputError(f"bad element JSON in {path}: {exc}") from None
 
 
-def _element_from_coeffs(text: str, algebra: SymbolAlgebra) -> SymbolElement:
-    parts = text.split(",")
+def _read_element(path, coeffs, args, missing: str, algebra=None) -> SymbolElement:
+    """The element in the JSON file at path, else the inline list coeffs over
+    algebra, by default --a/--b; those are parsed only here, so a malformed
+    --a beside --in is never read."""
+    if path:
+        return _element_from_file(path)
+    if not coeffs:
+        raise InputError(missing)
+    if algebra is None:
+        algebra = _algebra_from_args(args)
+    parts = coeffs.split(",")
     if len(parts) != 9:
         raise InputError("--coeffs needs exactly 9 comma-separated scalars")
     return algebra.element([_parse_scalar(p) for p in parts])
 
 
 def _primary_element(args) -> SymbolElement:
-    if getattr(args, "in_file", None):
-        return _element_from_file(args.in_file)
-    if getattr(args, "coeffs", None):
-        return _element_from_coeffs(args.coeffs, _algebra_from_args(args))
-    raise InputError("element required: use --in FILE or --coeffs LIST")
-
-
-def _secondary_element(args, algebra: SymbolAlgebra) -> SymbolElement:
-    if getattr(args, "in_file2", None):
-        return _element_from_file(args.in_file2)
-    if getattr(args, "coeffs2", None):
-        return _element_from_coeffs(args.coeffs2, algebra)
-    raise InputError("second element required: use --in2 FILE or --coeffs2 LIST")
+    return _read_element(args.in_file, args.coeffs, args,
+                         "element required: use --in FILE or --coeffs LIST")
 
 
 def _matrix_json(m: MatK) -> list:
@@ -219,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_binary(args) -> int:
     z1 = _primary_element(args)
-    z2 = _secondary_element(args, z1.algebra)
+    z2 = _read_element(args.in_file2, args.coeffs2, args,
+                       "second element required: use --in2 FILE or --coeffs2 LIST", z1.algebra)
     out = z1 * z2 if args.command == "mul" else z1 + z2
     _emit(element_to_dict(out), args)
     return 0
@@ -250,13 +249,9 @@ def _cmd_solve(args) -> int:
     algebra = _algebra_from_args(args)
 
     def need(letter: str) -> SymbolElement:
-        path = getattr(args, f"elem_{letter}_in")
-        coeffs = getattr(args, f"elem_{letter}")
-        if path:
-            return _element_from_file(path)
-        if coeffs:
-            return _element_from_coeffs(coeffs, algebra)
-        raise InputError(f"--{letter.upper()} or --{letter.upper()}-in required for --eq {args.eq}")
+        missing = f"--{letter.upper()} or --{letter.upper()}-in required for --eq {args.eq}"
+        return _read_element(getattr(args, f"elem_{letter}_in"), getattr(args, f"elem_{letter}"),
+                             args, missing, algebra)
 
     big_a = need("a")
     if args.eq == "commute":

@@ -181,9 +181,10 @@ def omega_free_block_candidate(n: int) -> int:
 
 
 def invertibility_row(n: int, element: SymbolElement) -> dict:
-    """{"n", "eta", "invertible"}: eta(element) != 0 and element * element^-1 = 1."""
+    """{"n", "eta", "invertible"}: eta(element) != 0 and element * element^-1 = 1,
+    tested as element * element* = eta, which is the same for eta != 0."""
     eta = element.reduced_norm()
-    invertible = bool(eta) and element * element.inverse() == element.algebra.one()
+    invertible = bool(eta) and element * element.adjoint() == element.algebra.scalar(eta)
     return {"n": n, "eta": str(eta), "invertible": invertible}
 
 

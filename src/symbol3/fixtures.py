@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 
 from .algebra import EXPONENTS, INDEX_OF, SymbolAlgebra, basis_product_exponents
+from .cyclotomic import ONE
 from .representations import _COMPLEMENT, _frame_weights
 
 _CELL_RE = re.compile(r"^(a)?(b)?(w2|w)?(?:c([0-8])|(1))?$")
@@ -291,9 +292,8 @@ def transcribed_reconstruction_frames(algebra: SymbolAlgebra):
     Lambda route reproduces 3z only at a = b = 1 (diagnostic, not used by
     reconstruct)."""
     weights = _frame_weights(algebra)
-    basis = [algebra.monomial(k) for k in range(9)]
-    m9 = tuple(basis[k].scale(weights[k]) for k in range(9))
-    n9 = tuple(basis[k] for k in _COMPLEMENT)
+    m9 = tuple((k, weights[k]) for k in range(9))
+    n9 = tuple((k, ONE) for k in _COMPLEMENT)
     m10 = tuple(m9[k] for k in _COMPLEMENT)
-    n10 = tuple(basis)
+    n10 = tuple((k, ONE) for k in range(9))
     return (m9, n9), (m10, n10)

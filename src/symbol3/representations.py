@@ -215,6 +215,7 @@ def _frame_weights(algebra: SymbolAlgebra):
 def reconstruction_frames(algebra: SymbolAlgebra):
     """Frames ((M9, N9), (M10, N10)) with M9 Lambda(z) N9 = M10 Gamma^t(z) N10 = 3z.
 
+    A frame lists nine weighted basis monomials as (basis index, weight) pairs.
     For each route the sum telescopes to z * sum_k (b_k * pair_k) where pair_k
     is the complementary monomial scaled by 1/(b_k * pair_k); that forces the
     inverse-scalar weights onto the frame holding the complementary monomials.
@@ -223,13 +224,9 @@ def reconstruction_frames(algebra: SymbolAlgebra):
     a = b = 1, is kept in fixtures.py as a diagnostic.)
     """
     weights = _frame_weights(algebra)
-    basis = [algebra.monomial(k) for k in range(9)]
-    comp = tuple(basis[k].scale(weights[k]) for k in _COMPLEMENT)
-    m9 = tuple(basis)
-    n9 = comp
-    m10 = comp
-    n10 = tuple(basis)
-    return (m9, n9), (m10, n10)
+    basis = tuple((k, ONE) for k in range(9))
+    comp = tuple((k, weights[k]) for k in _COMPLEMENT)
+    return (basis, comp), (comp, basis)
 
 
 def reconstruct(z: SymbolElement) -> SymbolElement:
@@ -250,10 +247,13 @@ def reconstruct(z: SymbolElement) -> SymbolElement:
 
 
 def _mixed_product(left, mat: MatK, right, algebra: SymbolAlgebra) -> SymbolElement:
-    out = algebra.zero()
-    for i in range(9):
-        for j in range(9):
-            s = mat.rows[i][j]
+    """sum_ij mat[i][j] * left_i * right_j for frames of (index, weight) pairs,
+    each monomial product read from the structure table."""
+    table = algebra.table()
+    out = [ZERO] * 9
+    for (l, weight_l), row in zip(left, mat.rows):
+        for (r, weight_r), s in zip(right, row):
             if s:
-                out = out + (left[i] * right[j]).scale(s)
-    return out
+                scalar, index = table[l][r]
+                out[index] = out[index] + s * weight_l * weight_r * scalar
+    return algebra.element(out)

@@ -199,6 +199,42 @@ def sylvester_failures(rng: random.Random, per_algebra: int) -> int:
     return bad
 
 
+def commutator_failures(rng: random.Random, count: int) -> int:
+    """AZ - ZA = 1 has no solution at A = x; AZ - ZA = Ax - xA is solvable,
+    never uniquely, and its solution set contains x."""
+    bad = 0
+    for algebra in ALGEBRAS:
+        x = algebra.x()
+        bad += solve_commutator(x, algebra.one()).verdict != Verdict.NO_SOLUTION
+        for _ in range(count):
+            a = random_element(rng, algebra)
+            c = a * x - x * a
+            sol = solve_commutator(a, c)
+            if sol.verdict in (Verdict.NO_SOLUTION, Verdict.UNIQUE):
+                bad += 1
+                continue
+            z = sol.particular
+            bad += a * z - z * a != c or not sol.contains(x)
+    return bad
+
+
+def intertwine_failures(rng: random.Random, per_algebra: int) -> int:
+    """AZ = ZB with B = W^-1 A W contains W, and a reported necessary
+    condition holds; an unfilled round fails."""
+    def draw(algebra):
+        a, w = random_element(rng, algebra), random_element(rng, algebra)
+        return (a, w) if w.reduced_norm() else None
+
+    pairs, bad = _draw_rounds(per_algebra, draw)
+    for a, w in pairs:
+        b = w.inverse() * a * w
+        sol = solve_intertwine(a, b)
+        bad += not sol.contains(w)
+        bad += a * w != w * b
+        bad += any("VIOLATED" in note for note in sol.notes)
+    return bad
+
+
 def structured_failures(rng: random.Random, search: dict) -> int:
     """Checks a structured_instance_search result at random integer weights."""
     bad = int(not search["verified"])
@@ -233,6 +269,43 @@ def closed_form_failures(nmax: int) -> int:
         fe = fib_element(n)
         eta = fe.reduced_norm()
         bad += det(lambda_mat(fe)) != eta * eta * eta
+    return bad
+
+
+def fib_element_failures(rng: random.Random, count: int, nmax: int) -> int:
+    """F_n + F_(n+1) = F_(n+2), Horadam additivity and H^(0,1) = F at random n <= nmax."""
+    bad = 0
+    for algebra in ALGEBRAS:
+        for _ in range(count):
+            n = rng.randint(0, nmax)
+            f0, f1, f2 = (fib_element(n + k, algebra) for k in range(3))
+            bad += f0 + f1 != f2
+            p, q = rng.randint(-9, 9), rng.randint(-9, 9)
+            p2, q2 = rng.randint(-9, 9), rng.randint(-9, 9)
+            total = generalized_element(n, p, q, algebra) + generalized_element(n, p2, q2, algebra)
+            bad += total != generalized_element(n, p + p2, q + q2, algebra)
+            bad += generalized_element(n, 0, 1, algebra) != f0
+    return bad
+
+
+def general_a_failures(a_values, nmax: int) -> int:
+    """general_a_norm(n, a) equals eta(F_n) over (a, 1) for n = 0..nmax."""
+    bad = 0
+    for a in a_values:
+        algebra = SymbolAlgebra(a, ONE)
+        bad += sum(
+            general_a_norm(n, a) != fib_element(n, algebra).reduced_norm() for n in range(nmax + 1)
+        )
+    return bad
+
+
+def cube_sum_failures(rng: random.Random, count: int) -> int:
+    """2(x^3 + y^3 + z^3 - 3xyz) = (x+y+z)((x-y)^2 + (y-z)^2 + (z-x)^2)."""
+    bad = 0
+    for _ in range(count):
+        x, y, z = (rng.randint(-50, 50) for _ in range(3))
+        squares = (x - y) ** 2 + (y - z) ** 2 + (z - x) ** 2
+        bad += 2 * cube_sum(x, y, z) != (x + y + z) * squares
     return bad
 
 
@@ -354,37 +427,12 @@ def _check_sylvester(ctx: Context):
 
 
 def _check_commutator(ctx: Context):
-    rng = ctx.rng("commutator")
-    bad = 0
-    for algebra in ALGEBRAS:
-        x = algebra.x()
-        if solve_commutator(x, algebra.one()).verdict != Verdict.NO_SOLUTION:
-            bad += 1
-        for _ in range(min(ctx.samples, 10)):
-            a = random_element(rng, algebra)
-            c = a * x - x * a
-            sol = solve_commutator(a, c)
-            if sol.verdict == Verdict.NO_SOLUTION or sol.verdict == Verdict.UNIQUE:
-                bad += 1
-                continue
-            z = sol.particular
-            if a * z - z * a != c:
-                bad += 1
+    bad = commutator_failures(ctx.rng("commutator"), min(ctx.samples, 10))
     return bad == 0, f"solvable and unsolvable commutator equations, {bad} failures"
 
 
 def _check_intertwine(ctx: Context):
-    rng = ctx.rng("intertwine")
-
-    def draw(algebra):
-        a, w = random_element(rng, algebra), random_element(rng, algebra)
-        return (a, w) if w.reduced_norm() else None
-
-    pairs, bad = _draw_rounds(3, draw)
-    for a, w in pairs:
-        b = w.inverse() * a * w
-        bad += not solve_intertwine(a, b).contains(w)
-        bad += a * w != w * b
+    bad = intertwine_failures(ctx.rng("intertwine"), 3)
     return bad == 0, f"{3 * len(ALGEBRAS)} conjugate intertwine solves, {bad} failures"
 
 
@@ -408,20 +456,7 @@ def _check_sequences(ctx: Context):
 
 
 def _check_fib_elements(ctx: Context):
-    rng = ctx.rng("fib_elements")
-    bad = 0
-    for algebra in ALGEBRAS:
-        for _ in range(10):
-            n = rng.randint(0, 25)
-            if fib_element(n, algebra) + fib_element(n + 1, algebra) != fib_element(n + 2, algebra):
-                bad += 1
-            p, q = rng.randint(-9, 9), rng.randint(-9, 9)
-            p2, q2 = rng.randint(-9, 9), rng.randint(-9, 9)
-            lhs = generalized_element(n, p, q, algebra) + generalized_element(n, p2, q2, algebra)
-            if lhs != generalized_element(n, p + p2, q + q2, algebra):
-                bad += 1
-            if generalized_element(n, 0, 1, algebra) != fib_element(n, algebra):
-                bad += 1
+    bad = fib_element_failures(ctx.rng("fib_elements"), 10, 25)
     return bad == 0, f"element recurrence and Horadam additivity, {bad} failures"
 
 
@@ -434,12 +469,7 @@ def _check_closed_form(ctx: Context):
 
 
 def _check_general_a(ctx: Context):
-    bad = 0
-    for a in (CycQ(2), CycQ(3), OMEGA):
-        algebra = SymbolAlgebra(a, CycQ(1))
-        for n in range(0, 9):
-            if general_a_norm(n, a) != fib_element(n, algebra).reduced_norm():
-                bad += 1
+    bad = general_a_failures((CycQ(2), CycQ(3), OMEGA), 8)
     return bad == 0, f"verified general-a closed form at b=1, {bad} failures"
 
 
@@ -474,14 +504,7 @@ def _check_scan(ctx: Context):
 
 
 def _check_cube_sum_factorization(ctx: Context):
-    rng = ctx.rng("cube_sum")
-    bad = 0
-    for _ in range(50):
-        x, y, z = (rng.randint(-50, 50) for _ in range(3))
-        lhs = 2 * cube_sum(x, y, z)
-        rhs = (x + y + z) * ((x - y) ** 2 + (y - z) ** 2 + (z - x) ** 2)
-        if lhs != rhs:
-            bad += 1
+    bad = cube_sum_failures(ctx.rng("cube_sum"), 50)
     return bad == 0, f"50 random integer triples, {bad} failures"
 
 

@@ -1,6 +1,7 @@
 """Acceptance battery: every criterion is exact (tolerance zero) and runs at
 desk scale.  One pass/fail line is printed per criterion."""
 
+import hashlib
 import json
 import random
 import subprocess
@@ -24,6 +25,8 @@ from symbol3.verify import (
 )
 
 UNIT = ALGEBRAS[0]
+# md5 of the full `verify --suite all --nmax 30 --samples 50 --seed 7` stdout
+REPORT_MD5 = "26e9db9cd9182fc1926c0fb8cdae5ad2"
 
 
 def report(number: int, title: str, passed: bool):
@@ -95,10 +98,8 @@ def test_criterion_10_cli_determinism():
         sys.executable, "-m", "symbol3.cli", "verify",
         "--suite", "all", "--nmax", "30", "--samples", "50", "--seed", "7",
     ]
-    first = subprocess.run(args, capture_output=True)
-    second = subprocess.run(args, capture_output=True)
-    ok = first.returncode == 0 and second.returncode == 0
-    ok = ok and first.stdout == second.stdout and len(first.stdout) > 0
-    payload = json.loads(first.stdout)
-    ok = ok and all(c["pass"] for c in payload["checks"])
-    report(10, "verify --suite all --nmax 30 --samples 50 --seed 7: byte-identical, exit 0", ok)
+    done = subprocess.run(args, capture_output=True)
+    payload = json.loads(done.stdout)
+    ok = done.returncode == 0 and all(c["pass"] for c in payload["checks"])
+    ok = ok and hashlib.md5(done.stdout).hexdigest() == REPORT_MD5
+    report(10, "verify --suite all --nmax 30 --samples 50 --seed 7: pinned report, exit 0", ok)

@@ -10,11 +10,9 @@ from symbol3.fibonacci import (
     UnsupportedParams,
     closed_form_norm,
     closed_form_norm_candidate,
-    cube_sum,
     fib,
     fib_element,
     fib_identity_suite,
-    general_a_norm,
     general_a_norm_candidate,
     generalized_element,
     horadam,
@@ -23,6 +21,7 @@ from symbol3.fibonacci import (
     run_lemma_suite,
 )
 from symbol3.representations import det, lambda_mat
+from symbol3.verify import cube_sum_failures, fib_element_failures, general_a_failures
 
 
 def test_fib_values():
@@ -63,14 +62,7 @@ def test_fib_element_recurrence():
 
 
 def test_generalized_element():
-    rng = random.Random(41)
-    for _ in range(10):
-        n = rng.randint(0, 30)
-        assert generalized_element(n, 0, 1) == fib_element(n)
-        p, q = rng.randint(-9, 9), rng.randint(-9, 9)
-        p2, q2 = rng.randint(-9, 9), rng.randint(-9, 9)
-        total = generalized_element(n, p, q) + generalized_element(n, p2, q2)
-        assert total == generalized_element(n, p + p2, q + q2)
+    assert fib_element_failures(random.Random(41), 10, 30) == 0
     lucas_like = generalized_element(0, 1, 1)
     by_exponent = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)]
     values = [lucas_like.coeff(e) for e in by_exponent]
@@ -113,10 +105,7 @@ def test_candidate_closed_form_disagrees():
 
 
 def test_general_a_norm():
-    for a in (CycQ(2), CycQ(5), OMEGA, CycQ(1) + OMEGA):
-        algebra = SymbolAlgebra(a, CycQ(1))
-        for n in range(12):
-            assert general_a_norm(n, a) == fib_element(n, algebra).reduced_norm()
+    assert general_a_failures((CycQ(2), CycQ(5), OMEGA, CycQ(1) + OMEGA), 11) == 0
     # the candidate variant does not survive the same comparison
     algebra = SymbolAlgebra(CycQ(1), CycQ(1))
     assert any(
@@ -134,9 +123,9 @@ def test_lemma_suite_statuses_are_frozen():
 
 
 def test_every_failing_lemma_has_a_corrected_form():
-    for lemma in LEMMAS:
-        rows = [r for r in run_lemma_suite(10) if r["name"] == lemma.name]
-        row = rows[0]
+    rows = run_lemma_suite(10)
+    assert [r["name"] for r in rows] == [lemma.name for lemma in LEMMAS]
+    for lemma, row in zip(LEMMAS, rows):
         if not row["candidate_ok"]:
             assert lemma.verified is not None
             assert row["verified_ok"]
@@ -160,12 +149,7 @@ def test_omega_free_block_positivity_values():
 
 
 def test_cube_sum_factorization():
-    rng = random.Random(42)
-    for _ in range(50):
-        x, y, z = (rng.randint(-40, 40) for _ in range(3))
-        assert 2 * cube_sum(x, y, z) == (x + y + z) * (
-            (x - y) ** 2 + (y - z) ** 2 + (z - x) ** 2
-        )
+    assert cube_sum_failures(random.Random(42), 50) == 0
 
 
 def test_fib_inverse_round_trip():

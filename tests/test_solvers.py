@@ -16,7 +16,14 @@ from symbol3.solvers import (
     structured_instance_search,
     structured_solutions,
 )
-from symbol3.verify import ALGEBRAS, commute_failures, random_element, sylvester_failures
+from symbol3.verify import (
+    ALGEBRAS,
+    commutator_failures,
+    commute_failures,
+    intertwine_failures,
+    random_element,
+    sylvester_failures,
+)
 
 UNIT, GENERIC, _ = ALGEBRAS
 
@@ -57,18 +64,7 @@ def test_intertwine_distinct_norms_has_no_invertible_solution():
 
 
 def test_intertwine_conjugate_contains_w():
-    rng = random.Random(32)
-    for algebra in ALGEBRAS:
-        while True:
-            w = random_element(rng, algebra)
-            if w.reduced_norm():
-                break
-        a = random_element(rng, algebra)
-        b = w.inverse() * a * w
-        sol = solve_intertwine(a, b)
-        assert sol.contains(w)
-        if any("necessary condition" in n for n in sol.notes):
-            assert any("holds" in n for n in sol.notes)
+    assert intertwine_failures(random.Random(32), 1) == 0
 
 
 def test_intertwine_params_mismatch():
@@ -94,17 +90,7 @@ def test_commutator_no_solution_for_identity_rhs():
 
 
 def test_commutator_constructed_rhs():
-    rng = random.Random(33)
-    for algebra in ALGEBRAS:
-        x = algebra.x()
-        a = random_element(rng, algebra)
-        c = a * x - x * a
-        sol = solve_commutator(a, c)
-        assert sol.verdict in (Verdict.AFFINE_FAMILY, Verdict.ALL_OF_SPACE)
-        z = sol.particular
-        assert a * z - z * a == c
-        # x itself is a solution, so x - particular lies in the kernel span
-        assert sol.contains(x)
+    assert commutator_failures(random.Random(33), 1) == 0
 
 
 def test_sylvester_trivial_unique():
