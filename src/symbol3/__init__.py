@@ -8,7 +8,6 @@ from .algebra import (
     ParamsMismatch,
     SymbolAlgebra,
     SymbolElement,
-    basis_product,
     element_from_dict,
     element_to_dict,
 )
@@ -16,7 +15,6 @@ from .representations import (
     IdentityViolation,
     MatK,
     det,
-    element_from_vec,
     gamma_mat,
     kernel_basis,
     lambda_mat,

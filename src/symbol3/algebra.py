@@ -106,12 +106,6 @@ class SymbolAlgebra:
         return self.monomial(0, value)
 
 
-def basis_product(e1, e2, algebra: SymbolAlgebra):
-    """Product of basis monomials x^i y^j and x^k y^l as (scalar, exponent pair)."""
-    scalar, idx = algebra.table()[INDEX_OF[tuple(e1)]][INDEX_OF[tuple(e2)]]
-    return scalar, EXPONENTS[idx]
-
-
 class CharData(NamedTuple):
     """Coefficients (tau, pi, eta) of X^3 - tau*X^2 + pi*X - eta."""
 

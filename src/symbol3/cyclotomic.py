@@ -10,12 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - gmpy2 is a hard dependency, but the
-    _rational = Fraction  # package still works (slower) on plain fractions
-
-_RATIONAL_TYPES = (int, Fraction, type(_rational(0)))
+_RATIONAL_TYPES = (int, Fraction)
 
 
 class ScalarFormatError(ValueError):
@@ -36,13 +31,9 @@ class CycQ:
     __slots__ = ("r", "s")
 
     def __init__(self, r=0, s=0):
-        # The rational constructor normalizes: lowest terms, positive denominator.
-        self.r = _rational(r)
-        self.s = _rational(s)
-
-    @classmethod
-    def omega(cls) -> "CycQ":
-        return cls(0, 1)
+        # Fraction normalizes: lowest terms, positive denominator.
+        self.r = Fraction(r)
+        self.s = Fraction(s)
 
     @classmethod
     def parse(cls, text: str) -> "CycQ":
@@ -52,9 +43,9 @@ class CycQ:
         r, sign, s = m.groups()
         try:
             if s is None:
-                return cls(_rational(r))
-            sval = _rational(s)
-            return cls(_rational(r), -sval if sign == "-" else sval)
+                return cls(Fraction(r))
+            sval = Fraction(s)
+            return cls(Fraction(r), -sval if sign == "-" else sval)
         except ZeroDivisionError:
             raise ScalarFormatError(f"zero denominator in {text!r}") from None
 

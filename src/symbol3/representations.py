@@ -4,7 +4,9 @@ lambda_mat(z) has column k equal to the coordinates of z * b_k, gamma_mat(z)
 the coordinates of b_k * z, for b_k running over the fixed basis.  Both are
 generated from multiplication; transcribed tables exist only as diagnostic
 fixtures (see fixtures.py).  All linear algebra is exact Gaussian elimination
-over Q(w): division is a field operation, so no fraction-free tricks needed.
+over Q(w), and one forward elimination, _echelon, does it: det reads the signed
+pivot product, and _rref adds one back-substitution pass, from which
+kernel_basis and solve_affine read the solution set.
 """
 
 from __future__ import annotations
@@ -107,85 +109,54 @@ def vec_rep(z: SymbolElement) -> tuple:
     return z.coeffs
 
 
-def element_from_vec(vec, algebra: SymbolAlgebra) -> SymbolElement:
-    return algebra.element(vec)
+def _echelon(rows):
+    """In-place forward elimination to row echelon form, pivoting on the first
+    nonzero entry of each column; returns (pivot columns, signed pivot product)."""
+    pivots = []
+    product = ONE
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            product = -product
+        pval = rows[r][col]
+        product = product * pval
+        inv = pval.inverse()
+        for i in range(r + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col] * inv
+                rows[i] = [u - factor * v if v else u for u, v in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots, product
 
 
 def det(m: MatK) -> CycQ:
-    """Exact determinant; pivot is the first nonzero entry in each column."""
-    rows = [list(r) for r in m.rows]
-    sign = 1
-    out = ONE
-    for col in range(9):
-        pivot = None
-        for i in range(col, 9):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        pval = rows[col][col]
-        out = out * pval
-        inv = pval.inverse()
-        for i in range(col + 1, 9):
-            factor = rows[i][col]
-            if not factor:
-                continue
-            factor = factor * inv
-            for j in range(col, 9):
-                rows[i][j] = rows[i][j] - factor * rows[col][j]
-    return out if sign == 1 else -out
+    """Exact determinant: the signed pivot product, or zero without 9 pivots."""
+    pivots, product = _echelon([list(r) for r in m.rows])
+    return product if len(pivots) == 9 else ZERO
 
 
 def _rref(rows):
     """In-place reduced row echelon form; returns the list of pivot columns."""
-    n_rows = len(rows)
-    n_cols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(n_cols):
-        pivot = None
-        for i in range(r, n_rows):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(n_rows):
-            if i == r or not rows[i][col]:
-                continue
-            factor = rows[i][col]
-            rows[i] = [u - factor * v for u, v in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
+    pivots, _ = _echelon(rows)
+    for r in reversed(range(len(pivots))):
+        inv = rows[r][pivots[r]].inverse()
+        rows[r] = [v * inv if v else v for v in rows[r]]
+        for i in range(r):
+            factor = rows[i][pivots[r]]
+            if factor:
+                rows[i] = [u - factor * v if v else u for u, v in zip(rows[i], rows[r])]
     return pivots
-
-
-def _null_space(rows, pivots) -> list:
-    """Kernel basis read from a reduced row echelon form; only the first nine
-    columns are read, so an augmented system yields the kernel of its matrix."""
-    basis = []
-    for fc in (c for c in range(9) if c not in pivots):
-        vec = [ZERO] * 9
-        vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(tuple(vec))
-    return basis
 
 
 def kernel_basis(m: MatK) -> list:
     """Exact basis of the right null space (empty list iff m is invertible)."""
-    rows = [list(r) for r in m.rows]
-    return _null_space(rows, _rref(rows))
+    return solve_affine(m, (ZERO,) * 9)[1]
 
 
 def solve_affine(m: MatK, rhs):
@@ -197,7 +168,14 @@ def solve_affine(m: MatK, rhs):
     particular = [ZERO] * 9
     for r, pc in enumerate(pivots):
         particular[pc] = rows[r][9]
-    return tuple(particular), _null_space(rows, pivots)
+    kernel = []
+    for fc in (c for c in range(9) if c not in pivots):
+        vec = [ZERO] * 9
+        vec[fc] = ONE
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        kernel.append(tuple(vec))
+    return tuple(particular), kernel
 
 
 # Complementary ordering: position k holds the monomial whose product with

@@ -168,9 +168,10 @@ def commute_failures(rng: random.Random, count: int) -> int:
 def centralizer_failures() -> int:
     bad = 0
     for algebra in ALGEBRAS:
-        sol = solve_commute(algebra.x())
+        x = algebra.x()
+        sol = solve_commute(x)
         bad += len(sol.kernel) != 3
-        bad += sum(any(k.coeffs[3:]) for k in sol.kernel)
+        bad += sum(any(k.coeffs[3:]) or x * k != k * x for k in sol.kernel)
     return bad
 
 

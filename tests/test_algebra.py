@@ -5,10 +5,10 @@ import pytest
 
 from symbol3.algebra import (
     EXPONENTS,
+    INDEX_OF,
     NotInvertible,
     ParamsMismatch,
     SymbolAlgebra,
-    basis_product,
     element_from_dict,
     element_to_dict,
 )
@@ -28,13 +28,14 @@ def test_algebra_rejects_zero_parameters():
 
 def test_basis_product_defining_relations():
     for algebra in ALGEBRAS:
-        scalar, result = basis_product((0, 1), (1, 0), algebra)  # y * x
-        assert scalar == OMEGA and result == (1, 1)
-        scalar, result = basis_product((2, 0), (2, 0), algebra)  # x^2 * x^2
-        assert scalar == algebra.a and result == (1, 0)
+        table = algebra.table()
+        scalar, result = table[INDEX_OF[(0, 1)]][INDEX_OF[(1, 0)]]  # y * x
+        assert scalar == OMEGA and EXPONENTS[result] == (1, 1)
+        scalar, result = table[INDEX_OF[(2, 0)]][INDEX_OF[(2, 0)]]  # x^2 * x^2
+        assert scalar == algebra.a and EXPONENTS[result] == (1, 0)
         # y * x^2 rewrites through two swaps: y x^2 = w x y x = w^2 x^2 y
-        scalar, result = basis_product((0, 1), (2, 0), algebra)
-        assert scalar == OMEGA * OMEGA and result == (2, 1)
+        scalar, result = table[INDEX_OF[(0, 1)]][INDEX_OF[(2, 0)]]
+        assert scalar == OMEGA * OMEGA and EXPONENTS[result] == (2, 1)
 
 
 def test_generator_relations():

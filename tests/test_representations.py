@@ -5,8 +5,8 @@ from symbol3.fixtures import fixture_reports, transcribed_reconstruction_frames
 from symbol3.representations import (
     MatK,
     _mixed_product,
+    _rref,
     det,
-    element_from_vec,
     gamma_mat,
     kernel_basis,
     lambda_mat,
@@ -16,9 +16,11 @@ from symbol3.representations import (
 )
 from symbol3.verify import (
     ALGEBRAS,
+    centralizer_failures,
     morphism_failures,
     norm_trace_failures,
     random_element,
+    random_scalar,
     reconstruction_failures,
     vector_rep_failures,
 )
@@ -47,7 +49,7 @@ def test_vector_representation_round_trip_and_action():
             ONE if i == 1 else ZERO for i in range(9)
         )
         z, w = random_element(rng, algebra), random_element(rng, algebra)
-        assert element_from_vec(vec_rep(z), algebra) == z
+        assert algebra.element(vec_rep(z)) == z
         assert lambda_mat(z).apply(vec_rep(w)) == vec_rep(z * w)
         assert gamma_mat(z).apply(vec_rep(w)) == vec_rep(w * z)
 
@@ -72,15 +74,8 @@ def test_kernel_basis_trivial_cases():
 
 
 def test_kernel_of_centralizer_system():
-    # brute-force oracle: x commutes exactly with the span of 1, x, x^2
-    for algebra in ALGEBRAS:
-        x = algebra.x()
-        basis = kernel_basis(lambda_mat(x) - gamma_mat(x))
-        assert len(basis) == 3
-        for vec in basis:
-            z = element_from_vec(vec, algebra)
-            assert x * z == z * x
-            assert all(not z.coeffs[i] for i in range(3, 9))
+    # x commutes exactly with the span of 1, x, x^2
+    assert centralizer_failures() == 0
 
 
 def test_solve_affine():
@@ -102,6 +97,121 @@ def test_solve_affine():
         singular = m - gamma_mat(z)
         assert solve_affine(singular, (ZERO,) * 9)[1] == kernel_basis(singular)
         assert solve_affine(singular, singular.apply(v))[1] == kernel_basis(singular)
+
+
+# The determinant, Gauss-Jordan elimination and kernel reader that ran before
+# det and _rref shared one forward elimination, kept verbatim as the reference
+# that test_elimination_matches_gauss_jordan_reference compares against.
+def reference_det(m: MatK) -> CycQ:
+    """Exact determinant; pivot is the first nonzero entry in each column."""
+    rows = [list(r) for r in m.rows]
+    sign = 1
+    out = ONE
+    for col in range(9):
+        pivot = None
+        for i in range(col, 9):
+            if rows[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        pval = rows[col][col]
+        out = out * pval
+        inv = pval.inverse()
+        for i in range(col + 1, 9):
+            factor = rows[i][col]
+            if not factor:
+                continue
+            factor = factor * inv
+            for j in range(col, 9):
+                rows[i][j] = rows[i][j] - factor * rows[col][j]
+    return out if sign == 1 else -out
+
+
+def reference_rref(rows):
+    """In-place reduced row echelon form; returns the list of pivot columns."""
+    n_rows = len(rows)
+    n_cols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(n_cols):
+        pivot = None
+        for i in range(r, n_rows):
+            if rows[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(n_rows):
+            if i == r or not rows[i][col]:
+                continue
+            factor = rows[i][col]
+            rows[i] = [u - factor * v for u, v in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    return pivots
+
+
+def reference_null_space(rows, pivots) -> list:
+    """Kernel basis read from a reduced row echelon form; only the first nine
+    columns are read, so an augmented system yields the kernel of its matrix."""
+    basis = []
+    for fc in (c for c in range(9) if c not in pivots):
+        vec = [ZERO] * 9
+        vec[fc] = ONE
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def reference_solve_affine(m: MatK, rhs):
+    """Full solution set of m * v = rhs: (particular, kernel) or None if inconsistent."""
+    rows = [list(r) + [b] for r, b in zip(m.rows, rhs)]
+    pivots = reference_rref(rows)
+    if 9 in pivots:
+        return None
+    particular = [ZERO] * 9
+    for r, pc in enumerate(pivots):
+        particular[pc] = rows[r][9]
+    return tuple(particular), reference_null_space(rows, pivots)
+
+
+def test_elimination_matches_gauss_jordan_reference():
+    rng = random.Random(28)
+    units = [tuple(ONE if i == k else ZERO for i in range(9)) for k in range(9)]
+    matrices = [MatK.zero(), MatK.identity()]
+    for algebra in ALGEBRAS:
+        a, b, x = random_element(rng, algebra), random_element(rng, algebra), algebra.x()
+        # equal constant terms put a zero at the first pivot, so that the
+        # elimination of the invertible Lambda(A) - Gamma(A + x) swaps rows
+        matrices += [lambda_mat(a) - gamma_mat(b), lambda_mat(a) - gamma_mat(a + x),
+                     lambda_mat(a) - gamma_mat(a), lambda_mat(x) - gamma_mat(x)]
+    for m in matrices:
+        assert det(m) == reference_det(m)
+        rows = [list(r) for r in m.rows]
+        expected = [list(r) for r in m.rows]
+        pivots = reference_rref(expected)
+        assert _rref(rows) == pivots and rows == expected
+        assert kernel_basis(m) == reference_null_space(expected, pivots)
+        # a consistent right side, and for a singular m an inconsistent one:
+        # a unit vector outside the column space
+        sides = [m.apply(tuple(random_scalar(rng) for _ in range(9)))]
+        if not det(m):
+            sides.append(next(u for u in units if reference_solve_affine(m, u) is None))
+        for rhs in sides:
+            rows = [list(r) + [c] for r, c in zip(m.rows, rhs)]
+            expected = [row[:] for row in rows]
+            assert _rref(rows) == reference_rref(expected) and rows == expected
+            assert solve_affine(m, rhs) == reference_solve_affine(m, rhs)
 
 
 def test_reconstruct():
