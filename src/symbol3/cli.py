@@ -111,8 +111,11 @@ def _solution_json(sol: SolutionSet) -> dict:
 def _emit(payload, args) -> None:
     text = json.dumps(payload, separators=(",", ":")) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output file: {exc}") from None
     else:
         sys.stdout.write(text)
 

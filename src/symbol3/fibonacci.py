@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import SymbolAlgebra, SymbolElement
+from .algebra import EXPONENTS, SymbolAlgebra, SymbolElement
 from .cyclotomic import CycQ, OMEGA
 
 
@@ -61,10 +61,9 @@ def cube_sum(x, y, z):
 
 
 # Coefficient layout of a Fibonacci element: position k of the algebra basis
-# holds f_{n + _FIB_OFFSETS[k]}.  The offsets follow the exponent pairs
-# (x^i y^j gets offset i + 3j), which orders the nine consecutive numbers as
-# 1, x, x^2, y, xy, x^2y, y^2, xy^2, x^2y^2.
-_FIB_OFFSETS = (0, 1, 2, 3, 6, 4, 8, 5, 7)
+# holds f_{n + _FIB_OFFSETS[k]}.  The offsets follow the exponent pairs:
+# x^i y^j gets offset i + 3j.
+_FIB_OFFSETS = tuple(i + 3 * j for i, j in EXPONENTS)
 
 UNIT_ALGEBRA = SymbolAlgebra(CycQ(1), CycQ(1))
 

@@ -2,11 +2,13 @@
 
 The authoritative matrices are generated from multiplication in
 representations.py.  The tables below were transcribed from a reference
-derivation and are kept purely as diagnostic fixtures; a structural comparator
-reports every cell where a fixture disagrees with the generated matrix.  The
-frozen KNOWN_MISMATCHES sets record the transcription's defects, so the
-comparator doubles as a regression check on the generator: any mismatch
-outside the known set is a real failure.
+derivation and are kept purely as diagnostic fixtures.  The audit evaluates
+each table at one point and compares it cell by cell with the library's own
+lambda_mat/gamma_mat there; the point is chosen so that equal cell values mean
+equal structure (coefficient, w-power, a- and b-powers).  The frozen
+KNOWN_MISMATCHES sets record the transcription's defects, so the audit doubles
+as a regression check on the generator: any mismatch outside the known set is
+a real failure.
 
 Cell tokens: optional 'a', optional 'b', optional 'w'/'w2', then 'c<k>' for
 coefficient tables or an optional '1' for scalar block tables; '0' is an
@@ -17,9 +19,9 @@ from __future__ import annotations
 
 import re
 
-from .algebra import EXPONENTS, INDEX_OF, SymbolAlgebra, basis_product_exponents
-from .cyclotomic import ONE
-from .representations import _COMPLEMENT, _frame_weights
+from .algebra import SymbolAlgebra, SymbolElement
+from .cyclotomic import CycQ, OMEGA_POW, ONE, ZERO
+from .representations import _COMPLEMENT, MatK, _frame_weights, gamma_mat, lambda_mat
 
 _CELL_RE = re.compile(r"^(a)?(b)?(w2|w)?(?:c([0-8])|(1))?$")
 
@@ -183,67 +185,33 @@ BLOCK_V = _parse_table(
 )
 
 
-def structural_lambda():
-    """Generated left-representation structure: cell (r, k) holds
-    (coeff_index, w_pow, a_pow, b_pow) with b_i * b_k = w^e a^p b^q * b_r."""
-    grid = [[None] * 9 for _ in range(9)]
-    for k in range(9):
-        for i in range(9):
-            w, pa, pb, res = basis_product_exponents(EXPONENTS[i], EXPONENTS[k])
-            grid[INDEX_OF[res]][k] = (i, w, pa, pb)
-    return tuple(tuple(row) for row in grid)
+# The audit's evaluation point.  Every cell, transcribed or generated, is one
+# term w^e a^p b^q c_i with p, q <= 1 (a block cell has no c_i).  At a = 2,
+# b = 3 and c_i the nine primes from 5, the 108 possible coefficient-cell
+# values are pairwise distinct, and so are the 12 block-cell values, so equal
+# values mean equal (i, e, p, q).  The unit tables are read at a = b = 1,
+# where the a/b powers are void.
+AUDIT_POINT = SymbolAlgebra(2, 3).element((5, 7, 11, 13, 17, 19, 23, 29, 31))
+AUDIT_UNIT = SymbolAlgebra(1, 1).element(AUDIT_POINT.coeffs)
 
 
-def structural_gamma():
-    grid = [[None] * 9 for _ in range(9)]
-    for k in range(9):
-        for i in range(9):
-            w, pa, pb, res = basis_product_exponents(EXPONENTS[k], EXPONENTS[i])
-            grid[INDEX_OF[res]][k] = (i, w, pa, pb)
-    return tuple(tuple(row) for row in grid)
+def _cell_value(cell, z: SymbolElement) -> CycQ:
+    """A parsed cell evaluated at z's (a, b) and coefficients."""
+    if cell is None:
+        return ZERO
+    i, w, pa, pb = cell
+    value = OMEGA_POW[w] * (z.algebra.a if pa else ONE) * (z.algebra.b if pb else ONE)
+    return value if i is None else value * z.coeffs[i]
 
 
-def structural_twist(grid, k: int):
-    """Structure of Lambda(z_twisted): coefficient i picks up w^(j_i * k)."""
-    out = []
-    for row in grid:
-        new_row = []
-        for cell in row:
-            if cell is None:
-                new_row.append(None)
-            else:
-                i, w, pa, pb = cell
-                new_row.append((i, (w + EXPONENTS[i][1] * k) % 3, pa, pb))
-        out.append(tuple(new_row))
-    return tuple(out)
-
-
-def _restrict_to_coeff(grid, coeff_index: int):
-    """Scalar block of a structural grid: keep only the cells fed by one coefficient."""
-    return tuple(
-        tuple(
-            (None, cell[1], cell[2], cell[3]) if cell is not None and cell[0] == coeff_index else None
-            for cell in row
-        )
-        for row in grid
-    )
-
-
-def _strip_powers(grid):
-    """Erase a/b powers (used at a = b = 1, where they are numerically void)."""
-    return tuple(
-        tuple(None if cell is None else (cell[0], cell[1], 0, 0) for cell in row)
-        for row in grid
-    )
-
-
-def compare_tables(fixture, generated) -> list:
-    """All cells where the fixture structurally disagrees with the generated table."""
+def compare_tables(fixture, z: SymbolElement, generated: MatK) -> list:
+    """All cells where the fixture, evaluated at z, differs from the generated matrix."""
     out = []
     for r in range(9):
         for c in range(9):
-            if fixture[r][c] != generated[r][c]:
-                out.append((r, c, fixture[r][c], generated[r][c]))
+            value = _cell_value(fixture[r][c], z)
+            if value != generated[r, c]:
+                out.append((r, c, value, generated[r, c]))
     return out
 
 
@@ -265,20 +233,17 @@ KNOWN_MISMATCHES = {
 
 def fixture_reports() -> dict:
     """name -> (mismatch list, known set, ok flag) for every stored fixture."""
-    lam = structural_lambda()
-    gam = structural_gamma()
-    unit_lam = _strip_powers(lam)
+    z, u = AUDIT_POINT, AUDIT_UNIT
+    x, y = z.algebra.x(), z.algebra.y()
     comparisons = {
-        "lambda_general": compare_tables(LAMBDA_GENERAL, lam),
-        "gamma_general": compare_tables(GAMMA_GENERAL, gam),
-        "lambda_unit": compare_tables(_strip_powers(LAMBDA_UNIT), unit_lam),
-        "lambda_unit_twist": compare_tables(
-            _strip_powers(LAMBDA_UNIT_TWIST), _strip_powers(structural_twist(lam, 1))
-        ),
-        "block_x": compare_tables(BLOCK_X, _restrict_to_coeff(lam, 1)),
-        "block_y": compare_tables(BLOCK_Y, _restrict_to_coeff(lam, 3)),
-        "block_u": compare_tables(BLOCK_U, _restrict_to_coeff(gam, 1)),
-        "block_v": compare_tables(BLOCK_V, _restrict_to_coeff(gam, 3)),
+        "lambda_general": compare_tables(LAMBDA_GENERAL, z, lambda_mat(z)),
+        "gamma_general": compare_tables(GAMMA_GENERAL, z, gamma_mat(z)),
+        "lambda_unit": compare_tables(LAMBDA_UNIT, u, lambda_mat(u)),
+        "lambda_unit_twist": compare_tables(LAMBDA_UNIT_TWIST, u, lambda_mat(u.twist(1))),
+        "block_x": compare_tables(BLOCK_X, z, lambda_mat(x)),
+        "block_y": compare_tables(BLOCK_Y, z, lambda_mat(y)),
+        "block_u": compare_tables(BLOCK_U, z, gamma_mat(x)),
+        "block_v": compare_tables(BLOCK_V, z, gamma_mat(y)),
     }
     return {
         name: (mismatches, KNOWN_MISMATCHES[name], {(r, c) for r, c, _, _ in mismatches} == KNOWN_MISMATCHES[name])

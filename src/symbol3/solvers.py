@@ -187,9 +187,7 @@ def _dependent(x1: SymbolElement, x2: SymbolElement) -> bool:
 _SEARCH_SUPPORTS = ((1, 2), (3, 4), (5, 6), (7, 8))
 
 
-def structured_instance_search(
-    algebra: SymbolAlgebra, bound: int = 2, limit: int | None = None
-) -> dict:
+def structured_instance_search(algebra: SymbolAlgebra, bound: int = 2) -> dict:
     """Deterministic lexicographic search for structured-solution instances.
 
     Enumerates pairs (A, B) supported on two-monomial planes with integer
@@ -221,6 +219,4 @@ def structured_instance_search(
             defective.append((a, b))
             continue
         verified.append((a, b, x1, x2))
-        if limit is not None and len(verified) >= limit:
-            break
     return {"verified": verified, "defective": defective}

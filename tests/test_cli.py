@@ -91,6 +91,14 @@ def test_malformed_element_file_exit_code(tmp_path):
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
+def test_unwritable_out_path_exit_code(tmp_path):
+    # a directory, and a file under a missing directory
+    for out in (tmp_path, tmp_path / "missing" / "out.json"):
+        proc = run_cli("norm", "--coeffs", "1,0,0,0,0,0,0,0,0", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
 GOOD_SCALAR = st.sampled_from(("0", "1", "-2/3", "1+1*w", "0-1/2*w"))
 SCALAR_TEXT = GOOD_SCALAR | st.text("0123456789+-*/w", max_size=10) | st.text(max_size=10)
 JSON_VALUES = st.recursive(

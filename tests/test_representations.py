@@ -1,5 +1,7 @@
+import itertools
 import random
 
+from symbol3 import fixtures
 from symbol3.cyclotomic import CycQ, ONE, ZERO
 from symbol3.fixtures import fixture_reports, transcribed_reconstruction_frames
 from symbol3.representations import (
@@ -251,3 +253,29 @@ def test_reconstruction_frame_variant_only_works_at_unit_parameters():
 def test_fixture_tables_match_outside_known_cells():
     for name, (mismatches, known, ok) in fixture_reports().items():
         assert ok, f"{name}: unexpected mismatch set {mismatches}"
+
+
+def test_fixture_audit_reads_the_generated_matrices(monkeypatch):
+    # one gamma_mat cell outside the known set is altered
+    def damaged_gamma(z):
+        rows = [list(row) for row in gamma_mat(z).rows]
+        rows[0][0] = rows[0][0] + ONE
+        return MatK(rows)
+
+    monkeypatch.setattr(fixtures, "gamma_mat", damaged_gamma)
+    mismatches, known, ok = fixture_reports()["gamma_general"]
+    assert not ok and (0, 0) in {(r, c) for r, c, _, _ in mismatches}
+
+
+def test_audit_point_separates_cell_values():
+    # a cell is (coefficient index or None, w-power, a-power, b-power)
+    shapes = list(itertools.product(range(3), (0, 1), (0, 1)))
+    coefficient_values = {
+        fixtures._cell_value((i, *shape), fixtures.AUDIT_POINT) for i in range(9) for shape in shapes
+    }
+    block_values = {fixtures._cell_value((None, *shape), fixtures.AUDIT_POINT) for shape in shapes}
+    assert len(coefficient_values) == 108 and ZERO not in coefficient_values
+    assert len(block_values) == 12 and ZERO not in block_values
+    # at a = b = 1 the a/b powers are void, and the 27 remaining values are distinct
+    unit_values = {fixtures._cell_value((i, e, 0, 0), fixtures.AUDIT_UNIT) for i in range(9) for e in range(3)}
+    assert len(unit_values) == 27
