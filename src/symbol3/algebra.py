@@ -198,18 +198,6 @@ class SymbolElement:
         k = _as_cycq(k)
         return SymbolElement(self.algebra, tuple(k * c for c in self.coeffs))
 
-    def __pow__(self, n: int) -> "SymbolElement":
-        if n < 0:
-            return (self ** (-n)).inverse()
-        out = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def coeff(self, key) -> CycQ:
         """Coefficient by basis index 0..8 or by exponent pair (i, j)."""
         if isinstance(key, tuple):

@@ -108,14 +108,18 @@ def _solution_json(sol: SolutionSet) -> dict:
     }
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output file: {exc}") from None
+
+
 def _emit(payload, args) -> None:
     text = json.dumps(payload, separators=(",", ":")) + "\n"
     if getattr(args, "out", None):
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write output file: {exc}") from None
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -293,6 +297,9 @@ def _cmd_fib(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.out:
+        # an unwritable --out fails here, not after the whole battery
+        _write_out(args.out, "")
     results, report = run_suite(
         suite=args.suite,
         nmax=args.nmax,

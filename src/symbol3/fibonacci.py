@@ -13,32 +13,42 @@ a purely rational value.  The candidate constant set this module also retains
 (closed_form_norm_candidate) carries a nonzero w-block and different rational
 constants; it does not match the oracle and is kept only so the audit suite
 can demonstrate the disagreement.  LEMMAS below audits the whole derivation
-chain the same way: every intermediate cubic-sum identity is stored in its
+chain the same way: the left side of every intermediate cubic-sum identity is
+a sum of the blocks named in BLOCKS, and its right side is stored in
 candidate form and, where that fails, in a verified corrected form.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .algebra import EXPONENTS, SymbolAlgebra, SymbolElement
-from .cyclotomic import CycQ, OMEGA
+from .cyclotomic import OMEGA, OMEGA_POW, CycQ
 
 
 class UnsupportedParams(ValueError):
     """The closed-form norm is pinned to unit parameters a = b = 1."""
 
 
-_fib_cache = [0, 1]
-
-
+@functools.lru_cache(maxsize=None)
 def fib(n: int) -> int:
     """f_n with f_0 = 0, f_1 = 1, exact for any nonnegative index."""
     if n < 0:
         raise ValueError("fibonacci index must be nonnegative")
-    while len(_fib_cache) <= n:
-        _fib_cache.append(_fib_cache[-1] + _fib_cache[-2])
-    return _fib_cache[n]
+    return _fib_pair(n)[0]
+
+
+def _fib_pair(n: int) -> tuple:
+    """(f_n, f_{n+1}) by fast doubling: f_{2k} = f_k (2 f_{k+1} - f_k) and
+    f_{2k+1} = f_k^2 + f_{k+1}^2."""
+    if n == 0:
+        return 0, 1
+    f, g = _fib_pair(n >> 1)
+    even = f * (2 * g - f)
+    odd = f * f + g * g
+    return (odd, even + odd) if n & 1 else (even, odd)
 
 
 def horadam(n: int, p: int, q: int) -> int:
@@ -141,36 +151,32 @@ def closed_form_norm_candidate(n: int) -> CycQ:
 
 
 def general_a_norm_candidate(n: int, a) -> CycQ:
-    """Candidate general-a closed form (b = 1 implicit); diagnostic only."""
+    """Candidate general-a closed form (b = 1 implicit); diagnostic only.  Its
+    a-free and a-linear terms are candidate lemma sides."""
     a = a if isinstance(a, CycQ) else CycQ(a)
-    fn2 = fib(n) ** 2
+    top = 4 * horadam(n + 3, 211, 14) * (horadam(2 * n, 84, 135) - 2 * fib(n) ** 2)
     return (
-        4 * a * a * horadam(n + 3, 211, 14) * (horadam(2 * n, 84, 135) - 2 * fn2)
-        + 8 * horadam(n + 3, 8, 3) * (horadam(2 * n, 12, 20) - fn2)
-        + a
-        * (
-            fib(n + 2) * _omega_pair(2 * n, 30766, 27923, 22358, 20533)
-            + fib(n + 3) * _omega_pair(2 * n, 4368, 1453, 14128, 12163)
-            - fn2 * _omega_pair(n + 3, 45013, 22563, 33683, 27523)
-            - (-1) ** n * _omega_pair(n + 3, 1472, 26448, 12982, 24138)
-        )
+        a * a * top
+        + _LEMMA["cube_block_step3_horadam"].candidate(n)
+        + a * _LEMMA["mid_ten_sum_horadam"].candidate(n)
     )
 
 
 def general_a_norm(n: int, a) -> CycQ:
-    """Verified closed form for eta(F_n) over (a, 1): quadratic in a with
-    Horadam-shaped coefficient blocks."""
+    """Verified closed form for eta(F_n) over (a, 1): quadratic in a, with the
+    verified lemma sides for E_x2 and E_step3 as its a^2 and a-free terms."""
     a = a if isinstance(a, CycQ) else CycQ(a)
-    fn2 = fib(n) ** 2
-    top = 4 * horadam(n + 3, 7, 10) * (horadam(2 * n, 84, 135) - 2 * fn2)
-    bottom = 4 * horadam(n + 3, 4, 3) * (horadam(2 * n, 13, 20) - 2 * fn2)
     mid = (
         fib(n + 2) * horadam(2 * n, 802, 1507)
         + fib(n + 3) * horadam(2 * n, 1326, 2496)
-        + fn2 * horadam(n + 3, 467, 784)
+        + fib(n) ** 2 * horadam(n + 3, 467, 784)
         + (-1) ** n * horadam(n + 3, 214, 334)
     )
-    return a * a * top - a * mid + CycQ(bottom)
+    return (
+        a * a * _LEMMA["cube_block_x2_horadam"].verified(n)
+        - a * mid
+        + _LEMMA["cube_block_step3_horadam"].verified(n)
+    )
 
 
 def omega_free_block_candidate(n: int) -> int:
@@ -224,66 +230,85 @@ def _quad(n, q1, q0, qm1, qsgn=0):
     return out
 
 
-def _cyc(r, s=0):
-    return CycQ(r, s)
+# The twelve cubic-sum blocks E(.,.,.) of eta(F_n) over (a, 1).  Each entry
+# lists its three arguments as (k, e) pairs, each meaning w^e f_{n+k}.
+BLOCKS = {
+    "x2": ((2, 0), (5, 0), (8, 0)),
+    "x1": ((1, 0), (4, 0), (7, 0)),
+    "step3": ((0, 0), (3, 0), (6, 0)),
+    "run0": ((0, 0), (1, 0), (2, 0)),
+    "run3": ((3, 0), (4, 0), (5, 0)),
+    "run6": ((6, 0), (7, 0), (8, 0)),
+    "w057": ((0, 1), (5, 0), (7, 0)),
+    "w138": ((1, 0), (3, 0), (8, 1)),
+    "w246": ((2, 0), (4, 0), (6, 1)),
+    "w2_048": ((0, 0), (4, 0), (8, 2)),
+    "w2_237": ((2, 0), (3, 0), (7, 2)),
+    "w2_156": ((1, 2), (5, 0), (6, 0)),
+}
+
+# The ten blocks that carry the factor a (all but x2, with a^2, and step3).
+MID_TEN = ("x1", "run0", "run3", "run6", "w057", "w138", "w246", "w2_048", "w2_156", "w2_237")
 
 
-class Lemma:
-    """One audited identity: exact left side, candidate right side and,
-    when the candidate fails, a verified corrected right side."""
+def block_sum(n: int, names):
+    """Sum of the named blocks at n; an int unless a named block has a w factor."""
+    total = 0
+    for name in names:
+        args = [OMEGA_POW[e] * fib(n + k) if e else fib(n + k) for k, e in BLOCKS[name]]
+        total = total + cube_sum(*args)
+    return total
 
-    __slots__ = ("name", "lhs", "candidate", "verified")
 
-    def __init__(self, name, lhs, candidate, verified=None):
-        self.name = name
-        self.lhs = lhs
-        self.candidate = candidate
-        self.verified = verified
+class Lemma(NamedTuple):
+    """One audited identity: the blocks whose sum is its exact left side, a
+    candidate right side and, when the candidate fails, a verified corrected
+    right side."""
+
+    name: str
+    blocks: tuple
+    candidate: Callable
+    verified: Callable | None = None
 
 
 LEMMAS = (
     Lemma(
         "cube_block_x2_product",
-        lambda n: cube_sum(fib(n + 2), fib(n + 5), fib(n + 8)),
+        ("x2",),
         lambda n: 4 * _lin(n, 11, 14) * _quad(n, 135, 82, -51),
         lambda n: 4 * _lin(n, 7, 10) * _quad(n, 135, 82, -51),
     ),
     Lemma(
         "cube_block_x2_horadam",
-        lambda n: cube_sum(fib(n + 2), fib(n + 5), fib(n + 8)),
+        ("x2",),
         lambda n: 4 * horadam(n + 3, 11, 14) * (horadam(2 * n, 84, 135) - 2 * fib(n) ** 2),
         lambda n: 4 * horadam(n + 3, 7, 10) * (horadam(2 * n, 84, 135) - 2 * fib(n) ** 2),
     ),
     Lemma(
         "cube_block_x1_product",
-        lambda n: cube_sum(fib(n + 1), fib(n + 4), fib(n + 7)),
+        ("x1",),
         lambda n: 4 * _lin(n, 3, 11) * _quad(n, 51, 33, -20),
         lambda n: 4 * _lin(n, 3, 7) * _quad(n, 51, 33, -20),
     ),
     Lemma(
         "run_block_0",
-        lambda n: cube_sum(fib(n), fib(n + 1), fib(n + 2)),
+        ("run0",),
         lambda n: fib(n + 2) * (fib(n + 1) ** 2 + fib(n) ** 2 + fib(n - 1) ** 2),
     ),
     Lemma(
         "run_block_3",
-        lambda n: cube_sum(fib(n + 3), fib(n + 4), fib(n + 5)),
+        ("run3",),
         lambda n: _lin(n, 1, 2) * _quad(n, 23, 15, -9),
     ),
     Lemma(
         "run_block_6",
-        lambda n: cube_sum(fib(n + 6), fib(n + 7), fib(n + 8)),
+        ("run6",),
         lambda n: _lin(n, 3, 4) * _quad(n, 635, 387, -239),
         lambda n: _lin(n, 5, 8) * _quad(n, 417, 257, -159),
     ),
     Lemma(
         "run_blocks_sum_horadam",
-        lambda n: (
-            cube_sum(fib(n + 1), fib(n + 4), fib(n + 7))
-            + cube_sum(fib(n), fib(n + 1), fib(n + 2))
-            + cube_sum(fib(n + 3), fib(n + 4), fib(n + 5))
-            + cube_sum(fib(n + 6), fib(n + 7), fib(n + 8))
-        ),
+        ("x1", "run0", "run3", "run6"),
         lambda n: (
             fib(n + 2) * horadam(2 * n + 1, 965, 1546)
             + fib(n + 3) * horadam(2 * n + 1, 1854, 2936)
@@ -297,128 +322,120 @@ LEMMAS = (
     ),
     Lemma(
         "cube_block_step3_product",
-        lambda n: cube_sum(fib(n), fib(n + 3), fib(n + 6)),
+        ("step3",),
         lambda n: 8 * _lin(n, 8, 3) * _quad(n, 20, 11, -8),
         lambda n: 4 * _lin(n, 4, 3) * _quad(n, 20, 11, -7),
     ),
     Lemma(
         "cube_block_step3_horadam",
-        lambda n: cube_sum(fib(n), fib(n + 3), fib(n + 6)),
+        ("step3",),
         lambda n: 8 * horadam(n + 3, 8, 3) * (horadam(2 * n, 12, 20) - fib(n) ** 2),
         lambda n: 4 * horadam(n + 3, 4, 3) * (horadam(2 * n, 13, 20) - 2 * fib(n) ** 2),
     ),
     Lemma(
         "omega_block_057",
-        lambda n: cube_sum(OMEGA * fib(n), fib(n + 5), fib(n + 7)),
+        ("w057",),
         lambda n: _HALF
-        * _lin(n, _cyc(4, 2), _cyc(7, -1))
-        * _quad(n, _cyc(287, -40), _cyc(285, -64), _cyc(31, -24), _cyc(220, -64)),
+        * _lin(n, CycQ(4, 2), CycQ(7, -1))
+        * _quad(n, CycQ(287, -40), CycQ(285, -64), CycQ(31, -24), CycQ(220, -64)),
         lambda n: _HALF
-        * _lin(n, _cyc(4, 2), _cyc(7, -1))
-        * _quad(n, _cyc(417, -18), _cyc(255, -42), _cyc(-159, 18)),
+        * _lin(n, CycQ(4, 2), CycQ(7, -1))
+        * _quad(n, CycQ(417, -18), CycQ(255, -42), CycQ(-159, 18)),
     ),
     Lemma(
         "omega_block_138",
-        lambda n: cube_sum(fib(n + 1), fib(n + 3), OMEGA * fib(n + 8)),
-        lambda n: _lin(n, _cyc(-1, 5), _cyc(-2, 8))
-        * _quad(n, _cyc(-1156, -1392), _cyc(882, 970), _cyc(-169, -182), _cyc(881, 970)),
+        ("w138",),
+        lambda n: _lin(n, CycQ(-1, 5), CycQ(-2, 8))
+        * _quad(n, CycQ(-1156, -1392), CycQ(882, 970), CycQ(-169, -182), CycQ(881, 970)),
         lambda n: _HALF
-        * _lin(n, _cyc(-1, 5), _cyc(2, 8))
-        * _quad(n, _cyc(-1419, -1614), _cyc(-879, -970), _cyc(543, 606)),
+        * _lin(n, CycQ(-1, 5), CycQ(2, 8))
+        * _quad(n, CycQ(-1419, -1614), CycQ(-879, -970), CycQ(543, 606)),
     ),
     Lemma(
         "omega_block_246",
-        lambda n: cube_sum(fib(n + 2), fib(n + 4), OMEGA * fib(n + 6)),
+        ("w246",),
         lambda n: -_HALF
-        * _lin(n, _cyc(2, 2), _cyc(1, 3))
-        * _quad(n, _cyc(309, 520), _cyc(-21, 112), _cyc(47, 80), _cyc(24, 112)),
+        * _lin(n, CycQ(2, 2), CycQ(1, 3))
+        * _quad(n, CycQ(309, 520), CycQ(-21, 112), CycQ(47, 80), CycQ(24, 112)),
         lambda n: -_HALF
-        * _lin(n, _cyc(2, 2), _cyc(1, 3))
-        * _quad(n, _cyc(185, 316), _cyc(115, 204), _cyc(-71, -124)),
+        * _lin(n, CycQ(2, 2), CycQ(1, 3))
+        * _quad(n, CycQ(185, 316), CycQ(115, 204), CycQ(-71, -124)),
     ),
     Lemma(
         "omega_blocks_sum",
-        lambda n: (
-            cube_sum(OMEGA * fib(n), fib(n + 5), fib(n + 7))
-            + cube_sum(fib(n + 1), fib(n + 3), OMEGA * fib(n + 8))
-            + cube_sum(fib(n + 2), fib(n + 4), OMEGA * fib(n + 6))
-        ),
+        ("w057", "w138", "w246"),
         lambda n: (
             fib(n + 2)
-            * _quad(n, _cyc(6127, 10138), _cyc(-5231, -1210), _cyc(1132, 301), _cyc(-5315, -1235))
+            * _quad(n, CycQ(6127, 10138), CycQ(-5231, -1210), CycQ(1132, 301), CycQ(-5315, -1235))
             + fib(n + 3)
-            * _quad(n, _cyc(13544, 4103), _cyc(-8566, -3148), _cyc(1771, 307), _cyc(-16279, -11396))
+            * _quad(n, CycQ(13544, 4103), CycQ(-8566, -3148), CycQ(1771, 307), CycQ(-16279, -11396))
         ),
         lambda n: (
             fib(n + 2)
-            * _quad(n, _cyc(5727, 1508), _cyc(3507, 812), _cyc(-2176, -531), _cyc(1, 1))
-            + fib(n + 3) * _quad(n, _cyc(6869, -1076), _cyc(4121, -870), _cyc(-2579, 488))
+            * _quad(n, CycQ(5727, 1508), CycQ(3507, 812), CycQ(-2176, -531), CycQ(1, 1))
+            + fib(n + 3) * _quad(n, CycQ(6869, -1076), CycQ(4121, -870), CycQ(-2579, 488))
         ),
     ),
     Lemma(
         "omega2_block_048",
-        lambda n: cube_sum(fib(n), fib(n + 4), OMEGA * OMEGA * fib(n + 8)),
-        lambda n: _lin(n, _cyc(8, -5), _cyc(8, -8))
-        * _quad(n, _cyc(325, 1460), _cyc(-127, -1030), _cyc(42, 208), _cyc(-127, -1030)),
+        ("w2_048",),
+        lambda n: _lin(n, CycQ(8, -5), CycQ(8, -8))
+        * _quad(n, CycQ(325, 1460), CycQ(-127, -1030), CycQ(42, 208), CycQ(-127, -1030)),
         lambda n: -_HALF
-        * _lin(n, _cyc(2, 5), _cyc(8, 8))
-        * _quad(n, _cyc(255, 1656), _cyc(195, 1064), _cyc(-111, -648)),
+        * _lin(n, CycQ(2, 5), CycQ(8, 8))
+        * _quad(n, CycQ(255, 1656), CycQ(195, 1064), CycQ(-111, -648)),
     ),
     Lemma(
         "omega2_block_237",
-        lambda n: cube_sum(fib(n + 2), fib(n + 3), OMEGA * OMEGA * fib(n + 7)),
-        lambda n: -_lin(n, _cyc(2, 3), _cyc(4, 5))
-        * _quad(n, _cyc(112, 546), _cyc(-87, -418), _cyc(17, 80), _cyc(-87, -418)),
+        ("w2_237",),
+        lambda n: -_lin(n, CycQ(2, 3), CycQ(4, 5))
+        * _quad(n, CycQ(112, 546), CycQ(-87, -418), CycQ(17, 80), CycQ(-87, -418)),
     ),
     Lemma(
         "omega2_block_156",
-        lambda n: cube_sum(OMEGA * OMEGA * fib(n + 1), fib(n + 5), fib(n + 6)),
-        lambda n: _lin(n, _cyc(4, 1), _cyc(4, -1))
-        * _quad(n, _cyc(151, 23), _cyc(-107, -6), _cyc(19), _cyc(-107, -6)),
-        lambda n: _lin(n, _cyc(4, 1), _cyc(4, -1))
-        * _quad(n, _cyc(151, 23), _cyc(-110, -11), _cyc(20, 1), _cyc(-109, -10)),
+        ("w2_156",),
+        lambda n: _lin(n, CycQ(4, 1), CycQ(4, -1))
+        * _quad(n, CycQ(151, 23), CycQ(-107, -6), CycQ(19), CycQ(-107, -6)),
+        lambda n: _lin(n, CycQ(4, 1), CycQ(4, -1))
+        * _quad(n, CycQ(151, 23), CycQ(-110, -11), CycQ(20, 1), CycQ(-109, -10)),
     ),
     Lemma(
         "omega2_blocks_sum",
+        ("w2_048", "w2_156", "w2_237"),
         lambda n: (
-            cube_sum(fib(n), fib(n + 4), OMEGA * OMEGA * fib(n + 8))
-            + cube_sum(OMEGA * OMEGA * fib(n + 1), fib(n + 5), fib(n + 6))
-            + cube_sum(fib(n + 2), fib(n + 3), OMEGA * OMEGA * fib(n + 7))
+            fib(n + 2)
+            * _quad(n, CycQ(11895, 17785), CycQ(-7667, -13037), CycQ(1658, 2542), CycQ(-7667, -13037))
+            + fib(n + 3)
+            * _quad(n, CycQ(-6171, -2650), CycQ(-7859, -15052), CycQ(2048, 2608), CycQ(-7859, -15052))
         ),
         lambda n: (
             fib(n + 2)
-            * _quad(n, _cyc(11895, 17785), _cyc(-7667, -13037), _cyc(1658, 2542), _cyc(-7667, -13037))
+            * _quad(n, CycQ(5880, 2276), CycQ(956, 810), CycQ(-1224, -643), CycQ(-1506, -295))
             + fib(n + 3)
-            * _quad(n, _cyc(-6171, -2650), _cyc(-7859, -15052), _cyc(2048, 2608), _cyc(-7859, -15052))
-        ),
-        lambda n: (
-            fib(n + 2)
-            * _quad(n, _cyc(5880, 2276), _cyc(956, 810), _cyc(-1224, -643), _cyc(-1506, -295))
-            + fib(n + 3)
-            * _quad(n, _cyc(8513, -1070), _cyc(1283, -708), _cyc(-1735, 424), _cyc(-2188, 76))
+            * _quad(n, CycQ(8513, -1070), CycQ(1283, -708), CycQ(-1735, 424), CycQ(-2188, 76))
         ),
     ),
     Lemma(
         "mid_ten_sum_expanded",
-        lambda n: _mid_ten_sum(n),
+        MID_TEN,
         lambda n: (
             fib(n + 2) * _quad(n, 2511, 1573, -965)
             + fib(n + 3) * _quad(n, 4790, 3030, -1854)
             + fib(n + 2)
-            * _quad(n, _cyc(18022, 27923), _cyc(-12898, -14247), _cyc(2790, 2843), _cyc(-12928, -14272))
+            * _quad(n, CycQ(18022, 27923), CycQ(-12898, -14247), CycQ(2790, 2843), CycQ(-12928, -14272))
             + fib(n + 3)
-            * _quad(n, _cyc(7373, 1453), _cyc(-16425, -18200), _cyc(3819, 2915), _cyc(-24138, -26448))
+            * _quad(n, CycQ(7373, 1453), CycQ(-16425, -18200), CycQ(3819, 2915), CycQ(-24138, -26448))
         ),
         lambda n: (
             fib(n + 2)
-            * _quad(n, _cyc(14328, 3785), _cyc(6160, 1619), _cyc(-4443, -1173), _cyc(-1505, -296))
+            * _quad(n, CycQ(14328, 3785), CycQ(6160, 1619), CycQ(-4443, -1173), CycQ(-1505, -296))
             + fib(n + 3)
-            * _quad(n, _cyc(20192, -2146), _cyc(8414, -1578), _cyc(-6164, 912), _cyc(-2188, 76))
+            * _quad(n, CycQ(20192, -2146), CycQ(8414, -1578), CycQ(-6164, 912), CycQ(-2188, 76))
         ),
     ),
     Lemma(
         "mid_ten_sum_horadam",
-        lambda n: _mid_ten_sum(n),
+        MID_TEN,
         lambda n: (
             fib(n + 2) * _omega_pair(2 * n, 30766, 27923, 22358, 20533)
             + fib(n + 3) * _omega_pair(2 * n, 4368, 1453, 14128, 12163)
@@ -433,7 +450,7 @@ LEMMAS = (
     ),
     Lemma(
         "cube_block_x2_split",
-        lambda n: cube_sum(fib(n + 2), fib(n + 5), fib(n + 8)),
+        ("x2",),
         lambda n: (
             fib(n + 2) * (horadam(2 * n, 3696, 5940) - 88 * fib(n) ** 2)
             + fib(n + 3) * (horadam(2 * n, 4704, 7560) - 112 * fib(n) ** 2)
@@ -445,7 +462,7 @@ LEMMAS = (
     ),
     Lemma(
         "cube_block_step3_split",
-        lambda n: cube_sum(fib(n), fib(n + 3), fib(n + 6)),
+        ("step3",),
         lambda n: (
             fib(n + 2) * (horadam(2 * n, 768, 1280) - 64 * fib(n) ** 2)
             + fib(n + 3) * (horadam(2 * n, 288, 480) - 24 * fib(n) ** 2)
@@ -457,10 +474,7 @@ LEMMAS = (
     ),
     Lemma(
         "outer_blocks_sum",
-        lambda n: (
-            cube_sum(fib(n + 2), fib(n + 5), fib(n + 8))
-            + cube_sum(fib(n), fib(n + 3), fib(n + 6))
-        ),
+        ("x2", "step3"),
         lambda n: (
             fib(n + 2) * horadam(2 * n, 4464, 7220)
             + fib(n + 3) * horadam(2 * n, 4992, 8040)
@@ -473,25 +487,7 @@ LEMMAS = (
     ),
 )
 
-
-def _mid_ten_sum(n: int) -> CycQ:
-    """Sum of the ten middle cubic-sum blocks (the coefficient of a when the
-    norm of F_n over (a, 1) is expanded block by block)."""
-    w = OMEGA
-    w2 = OMEGA * OMEGA
-    total = CycQ(
-        cube_sum(fib(n + 1), fib(n + 4), fib(n + 7))
-        + cube_sum(fib(n), fib(n + 1), fib(n + 2))
-        + cube_sum(fib(n + 3), fib(n + 4), fib(n + 5))
-        + cube_sum(fib(n + 6), fib(n + 7), fib(n + 8))
-    )
-    total = total + cube_sum(w * fib(n), CycQ(fib(n + 5)), CycQ(fib(n + 7)))
-    total = total + cube_sum(CycQ(fib(n + 1)), CycQ(fib(n + 3)), w * fib(n + 8))
-    total = total + cube_sum(CycQ(fib(n + 2)), CycQ(fib(n + 4)), w * fib(n + 6))
-    total = total + cube_sum(CycQ(fib(n)), CycQ(fib(n + 4)), w2 * fib(n + 8))
-    total = total + cube_sum(w2 * fib(n + 1), CycQ(fib(n + 5)), CycQ(fib(n + 6)))
-    total = total + cube_sum(CycQ(fib(n + 2)), CycQ(fib(n + 3)), w2 * fib(n + 7))
-    return total
+_LEMMA = {lemma.name: lemma for lemma in LEMMAS}
 
 
 def run_lemma_suite(nmax: int = 30) -> list:
@@ -505,7 +501,7 @@ def run_lemma_suite(nmax: int = 30) -> list:
         candidate_ok = True
         verified_ok = None if lemma.verified is None else True
         for n in range(1, nmax + 1):
-            lhs = lemma.lhs(n)
+            lhs = block_sum(n, lemma.blocks)
             if candidate_ok and lhs != lemma.candidate(n):
                 candidate_ok = False
             if lemma.verified is not None and verified_ok and lhs != lemma.verified(n):

@@ -91,11 +91,12 @@ def norm_trace_failures(rng: random.Random, count: int) -> int:
     bad = 0
     for z, w in sample_pairs(rng, count):
         eta = z.reduced_norm()
-        d = det(lambda_mat(z))
+        lam = lambda_mat(z)
+        d = det(lam)
         bad += d != eta * eta * eta
         bad += det(gamma_mat(z)) != d
-        bad += lambda_mat(z).trace() != 9 * z.coeffs[0]
-        bad += z.reduced_trace() * 3 != lambda_mat(z).trace()
+        bad += lam.trace() != 9 * z.coeffs[0]
+        bad += z.reduced_trace() * 3 != lam.trace()
         bad += (z * w).reduced_norm() != eta * w.reduced_norm()
     return bad
 

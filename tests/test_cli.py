@@ -5,6 +5,7 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from symbol3.algebra import SymbolElement
+from symbol3 import cli
 from symbol3.cli import InputError, _element_from_file
 
 
@@ -97,6 +98,16 @@ def test_unwritable_out_path_exit_code(tmp_path):
         proc = run_cli("norm", "--coeffs", "1,0,0,0,0,0,0,0,0", "--out", str(out))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_verify_checks_out_path_before_the_battery(tmp_path, monkeypatch, capsys):
+    def battery(**kwargs):
+        raise AssertionError("the battery ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", battery)
+    assert cli.main(["verify", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output file:") and err.count("\n") == 1
 
 
 GOOD_SCALAR = st.sampled_from(("0", "1", "-2/3", "1+1*w", "0-1/2*w"))

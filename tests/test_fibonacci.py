@@ -1,13 +1,17 @@
 import random
+import tracemalloc
 
 import pytest
 
 from symbol3.algebra import SymbolAlgebra
 from symbol3.cyclotomic import CycQ, OMEGA
 from symbol3.fibonacci import (
+    BLOCKS,
     LEMMAS,
+    MID_TEN,
     UNIT_ALGEBRA,
     UnsupportedParams,
+    block_sum,
     closed_form_norm,
     closed_form_norm_candidate,
     fib,
@@ -31,6 +35,18 @@ def test_fib_values():
         assert fib(n + 2) == fib(n + 1) + fib(n)
     with pytest.raises(ValueError):
         fib(-1)
+
+
+def test_fib_memory_is_not_quadratic():
+    fib.cache_clear()
+    tracemalloc.start()
+    try:
+        value = fib(30000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert value == horadam(30000, 0, 1)
 
 
 def test_horadam():
@@ -112,6 +128,21 @@ def test_general_a_norm():
         general_a_norm_candidate(n, CycQ(1)) != fib_element(n, algebra).reduced_norm()
         for n in range(5)
     )
+
+
+def test_ten_block_decomposition_is_the_norm():
+    # eta(F_n) over (a, 1) = a^2 E_x2 + a (E_mid ten - 3 sum f^3) + E_step3
+    assert set(MID_TEN) == set(BLOCKS) - {"x2", "step3"}
+    for a in (CycQ(1), CycQ(2), CycQ(3), OMEGA, CycQ(1) + OMEGA):
+        algebra = SymbolAlgebra(a, CycQ(1))
+        for n in range(12):
+            cubes = sum(fib(n + k) ** 3 for k in range(9))
+            value = (
+                a * a * block_sum(n, ["x2"])
+                + a * (block_sum(n, MID_TEN) - 3 * cubes)
+                + block_sum(n, ["step3"])
+            )
+            assert value == fib_element(n, algebra).reduced_norm(), (a, n)
 
 
 def test_lemma_suite_statuses_are_frozen():
