@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 
 from .algebra import (
@@ -160,29 +161,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (("mul", "product of two elements"), ("add", "sum of two elements")):
-        sub = subs.add_parser(name, help=help_text)
-        _add_element_options(sub, second=True)
-
-    for name, help_text in (
-        ("norm", "reduced norm eta(z)"),
-        ("trace", "reduced trace tau(z)"),
-        ("charpoly", "characteristic polynomial coefficients (tau, pi, eta)"),
-        ("adjoint", "adjoint z* with z z* = eta(z)"),
-        ("inverse", "inverse z*/eta(z)"),
+    for name, help_text, op in (
+        ("mul", "product of two elements", operator.mul),
+        ("add", "sum of two elements", operator.add),
     ):
         sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(handler=_cmd_binary, op=op)
+        _add_element_options(sub, second=True)
+
+    # each unary command emits payload(z, args) for its element z
+    for name, help_text, payload in (
+        ("norm", "reduced norm eta(z)", lambda z, args: {"eta": str(z.reduced_norm())}),
+        ("trace", "reduced trace tau(z)", lambda z, args: {"tau": str(z.reduced_trace())}),
+        ("charpoly", "characteristic polynomial coefficients (tau, pi, eta)",
+         lambda z, args: dict(zip(("tau", "pi", "eta"), map(str, z.char_poly())))),
+        ("adjoint", "adjoint z* with z z* = eta(z)", lambda z, args: element_to_dict(z.adjoint())),
+        ("inverse", "inverse z*/eta(z)", lambda z, args: element_to_dict(z.inverse())),
+    ):
+        sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(handler=_cmd_unary, payload=payload)
         _add_element_options(sub)
 
     sub = subs.add_parser("twist", help="scale the y-degree blocks by powers of w")
+    sub.set_defaults(handler=_cmd_unary, payload=lambda z, args: element_to_dict(z.twist(args.k)))
     sub.add_argument("--k", type=int, choices=(1, 2), required=True)
     _add_element_options(sub)
 
     sub = subs.add_parser("repr", help="9x9 matrix of left or right multiplication")
+    sub.set_defaults(handler=_cmd_unary, payload=lambda z, args: _matrix_json(
+        lambda_mat(z) if args.rep == "lambda" else gamma_mat(z)))
     sub.add_argument("--rep", choices=("lambda", "gamma"), default="lambda")
     _add_element_options(sub)
 
     sub = subs.add_parser("solve", help="linear equations with algebra coefficients")
+    sub.set_defaults(handler=_cmd_solve)
     sub.add_argument(
         "--eq", required=True, choices=("commute", "intertwine", "commutator", "sylvester")
     )
@@ -197,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", metavar="FILE")
 
     sub = subs.add_parser("fib", help="Fibonacci elements and the invertibility scan")
+    sub.set_defaults(handler=_cmd_fib)
     sub.add_argument("--n", type=int, help="single element index")
     sub.add_argument("--p", type=int, help="Horadam seed p (with --q)")
     sub.add_argument("--q", type=int, help="Horadam seed q (with --p)")
@@ -211,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", metavar="FILE")
 
     sub = subs.add_parser("verify", help="run the identity battery")
+    sub.set_defaults(handler=_cmd_verify)
     sub.add_argument("--suite", choices=SUITES, default="all")
     sub.add_argument("--nmax", type=_int_at_least(1), default=30)
     sub.add_argument("--samples", type=_int_at_least(1), default=50)
@@ -226,29 +240,12 @@ def _cmd_binary(args) -> int:
     z1 = _primary_element(args)
     z2 = _read_element(args.in_file2, args.coeffs2, args,
                        "second element required: use --in2 FILE or --coeffs2 LIST", z1.algebra)
-    out = z1 * z2 if args.command == "mul" else z1 + z2
-    _emit(element_to_dict(out), args)
+    _emit(element_to_dict(args.op(z1, z2)), args)
     return 0
 
 
 def _cmd_unary(args) -> int:
-    z = _primary_element(args)
-    if args.command == "norm":
-        _emit({"eta": str(z.reduced_norm())}, args)
-    elif args.command == "trace":
-        _emit({"tau": str(z.reduced_trace())}, args)
-    elif args.command == "charpoly":
-        tau, pi, eta = z.char_poly()
-        _emit({"tau": str(tau), "pi": str(pi), "eta": str(eta)}, args)
-    elif args.command == "adjoint":
-        _emit(element_to_dict(z.adjoint()), args)
-    elif args.command == "inverse":
-        _emit(element_to_dict(z.inverse()), args)
-    elif args.command == "twist":
-        _emit(element_to_dict(z.twist(args.k)), args)
-    elif args.command == "repr":
-        mat = lambda_mat(z) if args.rep == "lambda" else gamma_mat(z)
-        _emit(_matrix_json(mat), args)
+    _emit(args.payload(_primary_element(args), args), args)
     return 0
 
 
@@ -300,7 +297,7 @@ def _cmd_verify(args) -> int:
     if args.out:
         # an unwritable --out fails here, not after the whole battery
         _write_out(args.out, "")
-    results, report = run_suite(
+    report = run_suite(
         suite=args.suite,
         nmax=args.nmax,
         samples=args.samples,
@@ -308,7 +305,7 @@ def _cmd_verify(args) -> int:
         corrupt_fixture=args.corrupt_fixture,
     )
     _emit(report, args)
-    failed = [r.name for r in results if not r.passed]
+    failed = [row["name"] for row in report["checks"] if not row["pass"]]
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
         return 1
@@ -316,20 +313,9 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command in ("mul", "add"):
-            return _cmd_binary(args)
-        if args.command in ("norm", "trace", "charpoly", "adjoint", "inverse", "twist", "repr"):
-            return _cmd_unary(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "fib":
-            return _cmd_fib(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (
         NotInvertible,
         ParamsMismatch,
@@ -343,7 +329,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

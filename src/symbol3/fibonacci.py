@@ -32,7 +32,12 @@ class UnsupportedParams(ValueError):
     """The closed-form norm is pinned to unit parameters a = b = 1."""
 
 
-@functools.lru_cache(maxsize=None)
+# Holds every f_n that the sequence identities and the lemma suite use up to
+# n = 200 (f_0..f_400); a caller walking n upward keeps only the last 512.
+FIB_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=FIB_CACHE_SIZE)
 def fib(n: int) -> int:
     """f_n with f_0 = 0, f_1 = 1, exact for any nonnegative index."""
     if n < 0:

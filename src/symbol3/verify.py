@@ -1,7 +1,12 @@
 """One-shot verification battery: every identity the library relies on, run
 over seeded random samples at three parameter choices, with a machine-readable
 pass/fail report.  Identical (suite, nmax, samples, seed) inputs produce
-byte-identical reports."""
+byte-identical reports.
+
+Each sampled identity has one implementation, a generator (`morphism_identities`
+... `cube_sum_identities`) yielding one truth value per identity instance, and
+`tally` counts them for the battery and the tests alike.  Most rows of CHECKS
+are data: a body, its rng stream, its arguments and a detail template."""
 
 from __future__ import annotations
 
@@ -9,6 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import islice
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .algebra import SymbolAlgebra, SymbolElement
 from .cyclotomic import CycQ, OMEGA, ONE, ZERO
@@ -73,107 +79,107 @@ def sample_pairs(rng: random.Random, count: int):
             yield random_element(rng, algebra), random_element(rng, algebra)
 
 
-# Sampled identity checks shared by the battery and the acceptance tests; each
-# draws from rng and returns its number of failed identities.
-def morphism_failures(rng: random.Random, count: int) -> int:
-    bad = 0
+class Tally(NamedTuple):
+    checked: int
+    failures: int
+
+    @property
+    def passed(self) -> bool:
+        """No check passes on zero cases."""
+        return self.checked > 0 and self.failures == 0
+
+
+def tally(outcomes) -> Tally:
+    """Count the truth values a shared body yields, one per identity instance."""
+    held = [bool(holds) for holds in outcomes]
+    return Tally(len(held), held.count(False))
+
+
+# Identity checks shared by the battery and the tests; each yields one truth
+# value per identity instance and draws its samples, if any, from rng.
+def morphism_identities(rng: random.Random, count: int):
     for z, w in sample_pairs(rng, count):
         lam_z, lam_w = lambda_mat(z), lambda_mat(w)
         gam_z, gam_w = gamma_mat(z), gamma_mat(w)
         prod = z * w
-        bad += lambda_mat(prod) != lam_z * lam_w
-        bad += gamma_mat(prod) != gam_w * gam_z
-        bad += lam_z * gam_w != gam_w * lam_z
-    return bad
+        yield lambda_mat(prod) == lam_z * lam_w
+        yield gamma_mat(prod) == gam_w * gam_z
+        yield lam_z * gam_w == gam_w * lam_z
 
 
-def norm_trace_failures(rng: random.Random, count: int) -> int:
-    bad = 0
+def norm_trace_identities(rng: random.Random, count: int):
     for z, w in sample_pairs(rng, count):
         eta = z.reduced_norm()
         lam = lambda_mat(z)
         d = det(lam)
-        bad += d != eta * eta * eta
-        bad += det(gamma_mat(z)) != d
-        bad += lam.trace() != 9 * z.coeffs[0]
-        bad += z.reduced_trace() * 3 != lam.trace()
-        bad += (z * w).reduced_norm() != eta * w.reduced_norm()
-    return bad
+        yield d == eta * eta * eta
+        yield det(gamma_mat(z)) == d
+        yield lam.trace() == 9 * z.coeffs[0]
+        yield z.reduced_trace() * 3 == lam.trace()
+        yield (z * w).reduced_norm() == eta * w.reduced_norm()
 
 
-def char_poly_failures(rng: random.Random, count: int) -> int:
-    bad = 0
+def char_poly_identities(rng: random.Random, count: int):
     for z, w in sample_pairs(rng, count):
         tau, pi, eta = z.char_poly()
         zs = z.adjoint()
         algebra = z.algebra
-        bad += z * zs != algebra.scalar(eta) or zs * z != algebra.scalar(eta)
-        bad += zs.adjoint() != z.scale(eta)
-        bad += (z * w).adjoint() != w.adjoint() * z.adjoint()
-        bad += pi != zs.reduced_trace()
-        bad += pi + pi != tau * tau - (z * z).reduced_trace()
-        bad += (z * w).pi_form() != (w * z).pi_form()
-        bad += (z * w).reduced_trace() != (w * z).reduced_trace()
-        bad += bool(z * z * z - (z * z).scale(tau) + z.scale(pi) - algebra.scalar(eta))
-    return bad
+        yield z * zs == algebra.scalar(eta) and zs * z == algebra.scalar(eta)
+        yield zs.adjoint() == z.scale(eta)
+        yield (z * w).adjoint() == w.adjoint() * z.adjoint()
+        yield pi == zs.reduced_trace()
+        yield pi + pi == tau * tau - (z * z).reduced_trace()
+        yield (z * w).pi_form() == (w * z).pi_form()
+        yield (z * w).reduced_trace() == (w * z).reduced_trace()
+        yield not (z * z * z - (z * z).scale(tau) + z.scale(pi) - algebra.scalar(eta))
 
 
-def twist_unit_failures(rng: random.Random, count: int) -> int:
+def twist_unit_identities(rng: random.Random, count: int):
     """Twist invariance of both determinants at a = b = 1 (ALGEBRAS[0])."""
-    bad = 0
     for _ in range(count):
         z = random_element(rng, ALGEBRAS[0])
         d = det(lambda_mat(z))
         for k in (1, 2):
             zt = z.twist(k)
-            bad += det(lambda_mat(zt)) != d or det(gamma_mat(zt)) != d
-    return bad
+            yield det(lambda_mat(zt)) == d and det(gamma_mat(zt)) == d
 
 
-def reconstruction_failures(rng: random.Random, count: int) -> int:
+def reconstruction_identities(rng: random.Random, count: int):
     """Both frame routes recover 3z; a route reconstruct rejects is a failure."""
-    bad = 0
     for algebra in ALGEBRAS:
         for _ in range(count):
             z = random_element(rng, algebra)
             try:
-                bad += reconstruct(z) != z.scale(3)
+                yield reconstruct(z) == z.scale(3)
             except IdentityViolation:
-                bad += 1
-    return bad
+                yield False
 
 
-def vector_rep_failures(rng: random.Random, count: int) -> int:
-    bad = 0
+def vector_rep_identities(rng: random.Random, count: int):
     e1 = (ONE,) + (ZERO,) * 8
     for z, w in sample_pairs(rng, count):
         lam, gam = lambda_mat(z), gamma_mat(z)
-        bad += lam.apply(e1) != vec_rep(z) or gam.apply(e1) != vec_rep(z)
-        bad += lam.apply(vec_rep(w)) != vec_rep(z * w)
-        bad += gam.apply(vec_rep(w)) != vec_rep(w * z)
-    return bad
+        yield lam.apply(e1) == vec_rep(z) and gam.apply(e1) == vec_rep(z)
+        yield lam.apply(vec_rep(w)) == vec_rep(z * w)
+        yield gam.apply(vec_rep(w)) == vec_rep(w * z)
 
 
-def commute_failures(rng: random.Random, count: int) -> int:
-    bad = 0
+def commute_identities(rng: random.Random, count: int):
     for algebra in ALGEBRAS:
         for _ in range(count):
             a = random_element(rng, algebra)
-            bad += bool(det(lambda_mat(a) - gamma_mat(a)))
+            yield not det(lambda_mat(a) - gamma_mat(a))
             sol = solve_commute(a)
-            bad += sum(not sol.contains(target) for target in {algebra.one(), a})
-            bad += sum(a * k != k * a for k in sol.kernel[:2])
-    return bad
+            yield from (sol.contains(target) for target in {algebra.one(), a})
+            yield from (a * k == k * a for k in sol.kernel[:2])
 
 
-def centralizer_failures() -> int:
-    bad = 0
+def centralizer_identities():
     for algebra in ALGEBRAS:
         x = algebra.x()
         sol = solve_commute(x)
-        bad += len(sol.kernel) != 3
-        bad += sum(any(k.coeffs[3:]) or x * k != k * x for k in sol.kernel)
-    return bad
+        yield len(sol.kernel) == 3
+        yield from (not any(k.coeffs[3:]) and x * k == k * x for k in sol.kernel)
 
 
 def _draw_rounds(per_algebra: int, draw) -> tuple:
@@ -186,7 +192,7 @@ def _draw_rounds(per_algebra: int, draw) -> tuple:
     return found, per_algebra * len(ALGEBRAS) - len(found)
 
 
-def sylvester_failures(rng: random.Random, per_algebra: int) -> int:
+def sylvester_identities(rng: random.Random, per_algebra: int):
     """Round trips on invertible Lambda(A) - Gamma(B); an unfilled round fails."""
     def draw(algebra):
         a, b = random_element(rng, algebra), random_element(rng, algebra)
@@ -194,143 +200,115 @@ def sylvester_failures(rng: random.Random, per_algebra: int) -> int:
             return a, b, random_element(rng, algebra)
         return None
 
-    trips, bad = _draw_rounds(per_algebra, draw)
+    trips, unfilled = _draw_rounds(per_algebra, draw)
+    yield from [False] * unfilled
     for a, b, w in trips:
         sol = solve_sylvester(a, b, a * w - w * b)
-        bad += sol.verdict != Verdict.UNIQUE or sol.particular != w
-    return bad
+        yield sol.verdict == Verdict.UNIQUE and sol.particular == w
 
 
-def commutator_failures(rng: random.Random, count: int) -> int:
+def commutator_identities(rng: random.Random, count: int):
     """AZ - ZA = 1 has no solution at A = x; AZ - ZA = Ax - xA is solvable,
     never uniquely, and its solution set contains x."""
-    bad = 0
     for algebra in ALGEBRAS:
         x = algebra.x()
-        bad += solve_commutator(x, algebra.one()).verdict != Verdict.NO_SOLUTION
+        yield solve_commutator(x, algebra.one()).verdict == Verdict.NO_SOLUTION
         for _ in range(count):
             a = random_element(rng, algebra)
             c = a * x - x * a
             sol = solve_commutator(a, c)
-            if sol.verdict in (Verdict.NO_SOLUTION, Verdict.UNIQUE):
-                bad += 1
-                continue
             z = sol.particular
-            bad += a * z - z * a != c or not sol.contains(x)
-    return bad
+            yield (sol.verdict not in (Verdict.NO_SOLUTION, Verdict.UNIQUE)
+                   and a * z - z * a == c and sol.contains(x))
 
 
-def intertwine_failures(rng: random.Random, per_algebra: int) -> int:
+def intertwine_identities(rng: random.Random, per_algebra: int):
     """AZ = ZB with B = W^-1 A W contains W, and a reported necessary
     condition holds; an unfilled round fails."""
     def draw(algebra):
         a, w = random_element(rng, algebra), random_element(rng, algebra)
         return (a, w) if w.reduced_norm() else None
 
-    pairs, bad = _draw_rounds(per_algebra, draw)
+    pairs, unfilled = _draw_rounds(per_algebra, draw)
+    yield from [False] * unfilled
     for a, w in pairs:
         b = w.inverse() * a * w
         sol = solve_intertwine(a, b)
-        bad += not sol.contains(w)
-        bad += a * w != w * b
-        bad += any("VIOLATED" in note for note in sol.notes)
-    return bad
+        yield sol.contains(w)
+        yield a * w == w * b
+        yield not any("VIOLATED" in note for note in sol.notes)
 
 
-def structured_failures(rng: random.Random, search: dict) -> int:
+def structured_identities(rng: random.Random, search: dict):
     """Checks a structured_instance_search result at random integer weights."""
-    bad = int(not search["verified"])
+    yield bool(search["verified"])
     for a, b, x1, x2 in search["verified"]:
         z = x1.scale(rng.randint(-3, 3)) + x2.scale(rng.randint(-3, 3))
-        bad += a * z != z * b
+        yield a * z == z * b
     if not search["defective"]:
-        return bad + 1
+        yield False
+        return
     try:
         structured_solutions(*search["defective"][0])
-        bad += 1
+        yield False
     except VerificationFailed:
-        pass
-    return bad
+        yield True
 
 
-def sequence_failures(rng: random.Random, nmax: int) -> int:
-    bad = sum(not ok for _, ok in fib_identity_suite(nmax))
+def sequence_identities(rng: random.Random, nmax: int):
+    yield from (ok for _, ok in fib_identity_suite(nmax))
     for _ in range(20):
         p, q = rng.randint(-9, 9), rng.randint(-9, 9)
         n = rng.randint(0, 50)
-        bad += horadam(n + 1, p, q) != p * fib(n) + q * fib(n + 1)
+        yield horadam(n + 1, p, q) == p * fib(n) + q * fib(n + 1)
         p2, q2 = rng.randint(-9, 9), rng.randint(-9, 9)
-        bad += horadam(n, p, q) + horadam(n, p2, q2) != horadam(n, p + p2, q + q2)
-        bad += horadam(n, 0, 1) != fib(n)
-    return bad
+        yield horadam(n, p, q) + horadam(n, p2, q2) == horadam(n, p + p2, q + q2)
+        yield horadam(n, 0, 1) == fib(n)
 
 
-def closed_form_failures(nmax: int) -> int:
-    bad = sum(closed_form_norm(n) != fib_element(n).reduced_norm() for n in range(nmax + 1))
+def closed_form_identities(nmax: int):
+    yield from (closed_form_norm(n) == fib_element(n).reduced_norm() for n in range(nmax + 1))
     for n in range(min(nmax, 8) + 1):
         fe = fib_element(n)
         eta = fe.reduced_norm()
-        bad += det(lambda_mat(fe)) != eta * eta * eta
-    return bad
+        yield det(lambda_mat(fe)) == eta * eta * eta
 
 
-def fib_element_failures(rng: random.Random, count: int, nmax: int) -> int:
+def fib_element_identities(rng: random.Random, count: int, nmax: int):
     """F_n + F_(n+1) = F_(n+2), Horadam additivity and H^(0,1) = F at random n <= nmax."""
-    bad = 0
     for algebra in ALGEBRAS:
         for _ in range(count):
             n = rng.randint(0, nmax)
             f0, f1, f2 = (fib_element(n + k, algebra) for k in range(3))
-            bad += f0 + f1 != f2
+            yield f0 + f1 == f2
             p, q = rng.randint(-9, 9), rng.randint(-9, 9)
             p2, q2 = rng.randint(-9, 9), rng.randint(-9, 9)
             total = generalized_element(n, p, q, algebra) + generalized_element(n, p2, q2, algebra)
-            bad += total != generalized_element(n, p + p2, q + q2, algebra)
-            bad += generalized_element(n, 0, 1, algebra) != f0
-    return bad
+            yield total == generalized_element(n, p + p2, q + q2, algebra)
+            yield generalized_element(n, 0, 1, algebra) == f0
 
 
-def general_a_failures(a_values, nmax: int) -> int:
+def general_a_identities(a_values, nmax: int):
     """general_a_norm(n, a) equals eta(F_n) over (a, 1) for n = 0..nmax."""
-    bad = 0
     for a in a_values:
         algebra = SymbolAlgebra(a, ONE)
-        bad += sum(
-            general_a_norm(n, a) != fib_element(n, algebra).reduced_norm() for n in range(nmax + 1)
-        )
-    return bad
+        for n in range(nmax + 1):
+            yield general_a_norm(n, a) == fib_element(n, algebra).reduced_norm()
 
 
-def cube_sum_failures(rng: random.Random, count: int) -> int:
+def cube_sum_identities(rng: random.Random, count: int):
     """2(x^3 + y^3 + z^3 - 3xyz) = (x+y+z)((x-y)^2 + (y-z)^2 + (z-x)^2)."""
-    bad = 0
     for _ in range(count):
         x, y, z = (rng.randint(-50, 50) for _ in range(3))
         squares = (x - y) ** 2 + (y - z) ** 2 + (z - x) ** 2
-        bad += 2 * cube_sum(x, y, z) != (x + y + z) * squares
-    return bad
-
-
-@dataclass
-class Check:
-    name: str
-    statement: str
-    suites: tuple
-    run: callable
-
-
-@dataclass
-class CheckResult:
-    name: str
-    statement: str
-    passed: bool
-    detail: str
+        yield 2 * cube_sum(x, y, z) == (x + y + z) * squares
 
 
 class Context:
     def __init__(self, nmax: int, samples: int, seed: int, corrupt_fixture: bool):
         self.nmax = nmax
         self.samples = samples
+        self.capped_samples = min(samples, 10)  # for the costlier sampled checks
         self.seed = seed
         self.corrupt_fixture = corrupt_fixture
 
@@ -339,29 +317,35 @@ class Context:
         return random.Random(f"{self.seed}:{name}")
 
 
-def _check_morphisms(ctx: Context):
-    bad = morphism_failures(ctx.rng("morphisms"), ctx.samples)
-    return bad == 0, f"{3 * ctx.samples * len(ALGEBRAS)} identities, {bad} failures"
+@dataclass
+class Check:
+    """One battery row; run(ctx) returns (passed, detail).  A row without its
+    own run tallies body(ctx.rng(stream), *args), or body(*args) if stream is
+    None, where a str in args names a Context attribute; its detail formats
+    `detail`, or `detail_passed` if set and the row passed, with the fields
+    checked, failures and nmax."""
 
+    name: str
+    statement: str
+    suite: str
+    run: Callable = None
+    body: Callable = None
+    stream: str = None
+    args: tuple = ("samples",)
+    detail: str = ""
+    detail_passed: str = None
 
-def _check_vector_rep(ctx: Context):
-    bad = vector_rep_failures(ctx.rng("vector_rep"), ctx.samples)
-    return bad == 0, f"first-column and action identities, {bad} failures"
+    def __post_init__(self):
+        if self.run is None:
+            self.run = self._tally
 
-
-def _check_norm_trace(ctx: Context):
-    bad = norm_trace_failures(ctx.rng("norm_trace"), ctx.samples)
-    return bad == 0, f"det/trace/multiplicativity, {bad} failures"
-
-
-def _check_char_poly(ctx: Context):
-    bad = char_poly_failures(ctx.rng("char_poly"), ctx.samples)
-    return bad == 0, f"adjoint/char-poly batteries, {bad} failures"
-
-
-def _check_twist_unit(ctx: Context):
-    bad = twist_unit_failures(ctx.rng("twist_unit"), ctx.samples)
-    return bad == 0, f"unit-parameter twist invariance, {bad} failures"
+    def _tally(self, ctx: Context) -> tuple:
+        args = [getattr(ctx, a) if isinstance(a, str) else a for a in self.args]
+        if self.stream:
+            args.insert(0, ctx.rng(self.stream))
+        t = tally(self.body(*args))
+        template = self.detail_passed if t.passed and self.detail_passed else self.detail
+        return t.passed, template.format(checked=t.checked, failures=t.failures, nmax=ctx.nmax)
 
 
 def _check_twist_probe(ctx: Context):
@@ -369,17 +353,12 @@ def _check_twist_probe(ctx: Context):
     held = 0
     total = 0
     for algebra in ALGEBRAS[1:]:
-        for _ in range(min(ctx.samples, 10)):
+        for _ in range(ctx.capped_samples):
             z = random_element(rng, algebra)
             total += 1
             if det(lambda_mat(z.twist(1))) == det(lambda_mat(z)):
                 held += 1
     return True, f"informational probe at non-unit parameters: held on {held}/{total} samples (not asserted)"
-
-
-def _check_reconstruction(ctx: Context):
-    bad = reconstruction_failures(ctx.rng("reconstruction"), ctx.samples)
-    return bad == 0, f"both frame routes recover 3z, {bad} failures"
 
 
 def _check_reconstruction_variant(ctx: Context):
@@ -413,66 +392,18 @@ def _check_fixtures(ctx: Context):
     return not bad, detail
 
 
-def _check_commute(ctx: Context):
-    bad = commute_failures(ctx.rng("commute"), ctx.samples)
-    return bad == 0, f"singular commutator matrix + kernel membership, {bad} failures"
-
-
-def _check_centralizer_x(ctx: Context):
-    bad = centralizer_failures()
-    return bad == 0, f"centralizer of x is span(1, x, x^2), {bad} failures"
-
-
-def _check_sylvester(ctx: Context):
-    bad = sylvester_failures(ctx.rng("sylvester"), 5)
-    return bad == 0, f"{5 * len(ALGEBRAS)} construct-then-solve round trips, {bad} failures"
-
-
-def _check_commutator(ctx: Context):
-    bad = commutator_failures(ctx.rng("commutator"), min(ctx.samples, 10))
-    return bad == 0, f"solvable and unsolvable commutator equations, {bad} failures"
-
-
-def _check_intertwine(ctx: Context):
-    bad = intertwine_failures(ctx.rng("intertwine"), 3)
-    return bad == 0, f"{3 * len(ALGEBRAS)} conjugate intertwine solves, {bad} failures"
-
-
 def _check_structured(ctx: Context):
     res = structured_instance_search(ALGEBRAS[0], bound=1)
     if not res["verified"]:
         return False, "bounded search found no verified instance"
-    bad = structured_failures(ctx.rng("structured"), res)
+    passed = tally(structured_identities(ctx.rng("structured"), res)).passed
     kernel_dims = sorted({len(solve_intertwine(a, b).kernel) for a, b, _, _ in res["verified"]})
     detail = (
         f"{len(res['verified'])} verified instances (kernel dims {kernel_dims}, "
         f"exceeding the stated span dimension 2), {len(res['defective'])} hypothesis-satisfying "
         "pairs where the construction fails (reported, not suppressed)"
     )
-    return bad == 0, detail
-
-
-def _check_sequences(ctx: Context):
-    bad = sequence_failures(ctx.rng("sequences"), ctx.nmax)
-    return bad == 0, f"sequence identities to n={ctx.nmax}: {f'{bad} failures' if bad else 'all hold'}"
-
-
-def _check_fib_elements(ctx: Context):
-    bad = fib_element_failures(ctx.rng("fib_elements"), 10, 25)
-    return bad == 0, f"element recurrence and Horadam additivity, {bad} failures"
-
-
-def _check_closed_form(ctx: Context):
-    bad = closed_form_failures(ctx.nmax)
-    return bad == 0, (
-        f"closed form vs explicit norm for n=0..{ctx.nmax} (+det cross-check): "
-        f"{f'{bad} failures' if bad else 'exact'}"
-    )
-
-
-def _check_general_a(ctx: Context):
-    bad = general_a_failures((CycQ(2), CycQ(3), OMEGA), 8)
-    return bad == 0, f"verified general-a closed form at b=1, {bad} failures"
+    return passed, detail
 
 
 def _check_norm_audit(ctx: Context):
@@ -505,81 +436,95 @@ def _check_scan(ctx: Context):
     )
 
 
-def _check_cube_sum_factorization(ctx: Context):
-    bad = cube_sum_failures(ctx.rng("cube_sum"), 50)
-    return bad == 0, f"50 random integer triples, {bad} failures"
-
-
 CHECKS = (
     Check("lambda_gamma_morphisms",
           "Lambda(zw)=Lambda(z)Lambda(w); Gamma(zw)=Gamma(w)Gamma(z); Lambda(A)Gamma(B)=Gamma(B)Lambda(A)",
-          ("representations",), _check_morphisms),
+          "representations", body=morphism_identities, stream="morphisms",
+          detail="{checked} identities, {failures} failures"),
     Check("vector_representation",
           "vec(Z)=Lambda(Z)e1=Gamma(Z)e1; vec(AZ)=Lambda(A)vec(Z); vec(ZA)=Gamma(A)vec(Z)",
-          ("representations",), _check_vector_rep),
+          "representations", body=vector_rep_identities, stream="vector_rep",
+          detail="first-column and action identities, {failures} failures"),
     Check("norm_trace_coherence",
           "det Lambda(z)=eta(z)^3; det Gamma(z)=det Lambda(z); tr Lambda(z)=9c0=3tau(z); eta multiplicative",
-          ("representations",), _check_norm_trace),
+          "representations", body=norm_trace_identities, stream="norm_trace",
+          detail="det/trace/multiplicativity, {failures} failures"),
     Check("adjoint_char_poly",
           "z z*=z* z=eta; z**=eta z; (zw)*=w* z*; pi(z)=tau(z*); 2pi=tau^2-tau(z^2); pi(zw)=pi(wz); tau(zw)=tau(wz); Cayley-Hamilton",
-          ("representations",), _check_char_poly),
+          "representations", body=char_poly_identities, stream="char_poly",
+          detail="adjoint/char-poly batteries, {failures} failures"),
     Check("twist_invariance_unit",
           "at a=b=1: det Lambda(z)=det Lambda(z_w)=det Lambda(z_w2), same for Gamma",
-          ("representations",), _check_twist_unit),
+          "representations", body=twist_unit_identities, stream="twist_unit",
+          detail="unit-parameter twist invariance, {failures} failures"),
     Check("twist_invariance_probe",
           "twist invariance probed at non-unit parameters (informational)",
-          ("representations",), _check_twist_probe),
+          "representations", _check_twist_probe),
     Check("reconstruction",
           "M9 Lambda(z) N9 = M10 Gamma^t(z) N10 = 3z",
-          ("representations",), _check_reconstruction),
+          "representations", body=reconstruction_identities, stream="reconstruction",
+          detail="both frame routes recover 3z, {failures} failures"),
     Check("reconstruction_frame_variant",
           "row-weighted frame variant recovers 3z only at unit parameters (diagnostic)",
-          ("representations",), _check_reconstruction_variant),
+          "representations", _check_reconstruction_variant),
     Check("fixture_tables",
           "generated representation tables match the transcribed fixtures outside the known defect cells",
-          ("representations",), _check_fixtures),
+          "representations", _check_fixtures),
     Check("commute_solver",
           "det(Lambda(A)-Gamma(A))=0; kernel of the centralizer system contains 1 and A",
-          ("equations",), _check_commute),
+          "equations", body=commute_identities, stream="commute",
+          detail="singular commutator matrix + kernel membership, {failures} failures"),
     Check("centralizer_of_x",
           "the centralizer of x is span(1, x, x^2) (dimension 3)",
-          ("equations",), _check_centralizer_x),
+          "equations", body=centralizer_identities, args=(),
+          detail="centralizer of x is span(1, x, x^2), {failures} failures"),
     Check("sylvester_roundtrip",
           "AZ-ZB=C with invertible Lambda(A)-Gamma(B) has the unique solution it was built from",
-          ("equations",), _check_sylvester),
+          "equations", body=sylvester_identities, stream="sylvester", args=(5,),
+          detail="{checked} construct-then-solve round trips, {failures} failures"),
     Check("commutator_solver",
           "AZ-ZA=C is never uniquely solvable; residuals vanish on solvable instances",
-          ("equations",), _check_commutator),
+          "equations", body=commutator_identities, stream="commutator", args=("capped_samples",),
+          detail="solvable and unsolvable commutator equations, {failures} failures"),
     Check("intertwine_conjugate",
           "for B=W^-1 A W the solution set of AZ=ZB contains W",
-          ("equations",), _check_intertwine),
+          "equations", body=intertwine_identities, stream="intertwine", args=(3,),
+          detail=f"{3 * len(ALGEBRAS)} conjugate intertwine solves, {{failures}} failures"),
     Check("structured_solutions",
           "X1=A0+B0 and X2=pi(A0)-A0B0 solve AZ=ZB on verified instances; insufficient-hypothesis pairs reported",
-          ("equations",), _check_structured),
+          "equations", _check_structured),
     Check("sequence_identities",
           "the seven classical Fibonacci identities plus Horadam relations",
-          ("fibonacci",), _check_sequences),
+          "fibonacci", body=sequence_identities, stream="sequences", args=("nmax",),
+          detail="sequence identities to n={nmax}: {failures} failures",
+          detail_passed="sequence identities to n={nmax}: all hold"),
     Check("fibonacci_elements",
           "F_n+F_(n+1)=F_(n+2); H additivity; H^(0,1)=F",
-          ("fibonacci",), _check_fib_elements),
+          "fibonacci", body=fib_element_identities, stream="fib_elements", args=(10, 25),
+          detail="element recurrence and Horadam additivity, {failures} failures"),
     Check("norm_closed_form",
           "shipped closed form equals the explicit norm for all n in range (det cross-checked)",
-          ("fibonacci",), _check_closed_form),
+          "fibonacci", body=closed_form_identities, args=("nmax",),
+          detail="closed form vs explicit norm for n=0..{nmax} (+det cross-check): "
+                 "{failures} failures",
+          detail_passed="closed form vs explicit norm for n=0..{nmax} (+det cross-check): exact"),
     Check("norm_closed_form_general_a",
           "verified general-a closed form at b=1 equals the explicit norm",
-          ("fibonacci",), _check_general_a),
+          "fibonacci", body=general_a_identities, args=((CycQ(2), CycQ(3), OMEGA), 8),
+          detail="verified general-a closed form at b=1, {failures} failures"),
     Check("norm_candidate_audit",
           "the retained candidate constant set disagrees with the oracle (documented defect)",
-          ("fibonacci",), _check_norm_audit),
+          "fibonacci", _check_norm_audit),
     Check("norm_lemma_audit",
           "derivation-chain identities: every failing candidate has a verified corrected form",
-          ("fibonacci",), _check_lemmas),
+          "fibonacci", _check_lemmas),
     Check("invertibility_scan",
           "eta(F_n) != 0 and F_n F_n^-1 = 1 for all n in range; omega-free block positive",
-          ("fibonacci",), _check_scan),
+          "fibonacci", _check_scan),
     Check("cube_sum_factorization",
           "x^3+y^3+z^3-3xyz = (x+y+z)((x-y)^2+(y-z)^2+(z-x)^2)/2",
-          ("fibonacci",), _check_cube_sum_factorization),
+          "fibonacci", body=cube_sum_identities, stream="cube_sum", args=(50,),
+          detail="{checked} random integer triples, {failures} failures"),
 )
 
 SUITES = ("all", "representations", "equations", "fibonacci")
@@ -591,25 +536,15 @@ def run_suite(
     samples: int = 50,
     seed: int = 7,
     corrupt_fixture: bool = False,
-) -> tuple:
-    """Run the battery; returns (results, report_dict)."""
+) -> dict:
+    """Run the battery; returns the report dict, one row per check in suite."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     ctx = Context(nmax=nmax, samples=samples, seed=seed, corrupt_fixture=corrupt_fixture)
-    results = []
+    rows = []
     for check in CHECKS:
-        if suite != "all" and suite not in check.suites:
-            continue
-        passed, detail = check.run(ctx)
-        results.append(CheckResult(check.name, check.statement, passed, detail))
-    report = {
-        "suite": suite,
-        "seed": seed,
-        "nmax": nmax,
-        "samples": samples,
-        "checks": [
-            {"name": r.name, "paper_ref": r.statement, "pass": r.passed, "detail": r.detail}
-            for r in results
-        ],
-    }
-    return results, report
+        if suite in ("all", check.suite):
+            passed, detail = check.run(ctx)
+            rows.append(
+                {"name": check.name, "paper_ref": check.statement, "pass": passed, "detail": detail})
+    return {"suite": suite, "seed": seed, "nmax": nmax, "samples": samples, "checks": rows}

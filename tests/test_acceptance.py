@@ -6,22 +6,24 @@ import json
 import random
 import subprocess
 import sys
+from itertools import chain
 
 from symbol3.fibonacci import invertibility_scan, run_lemma_suite
 from symbol3.solvers import structured_instance_search
 from symbol3.verify import (
     ALGEBRAS,
-    centralizer_failures,
-    char_poly_failures,
-    closed_form_failures,
-    commute_failures,
-    morphism_failures,
-    norm_trace_failures,
-    reconstruction_failures,
-    sequence_failures,
-    structured_failures,
-    sylvester_failures,
-    twist_unit_failures,
+    centralizer_identities,
+    char_poly_identities,
+    closed_form_identities,
+    commute_identities,
+    morphism_identities,
+    norm_trace_identities,
+    reconstruction_identities,
+    sequence_identities,
+    structured_identities,
+    sylvester_identities,
+    tally,
+    twist_unit_identities,
 )
 
 UNIT = ALGEBRAS[0]
@@ -35,27 +37,27 @@ def report(number: int, title: str, passed: bool):
 
 
 def test_criterion_1_morphism_battery():
-    ok = morphism_failures(random.Random(101), 100) == 0
+    ok = tally(morphism_identities(random.Random(101), 100)).passed
     report(1, "morphism battery (100 pairs x 3 parameter choices)", ok)
 
 
 def test_criterion_2_norm_trace_coherence():
-    ok = norm_trace_failures(random.Random(101), 100) == 0
+    ok = tally(norm_trace_identities(random.Random(101), 100)).passed
     report(2, "norm/trace coherence on the same samples", ok)
 
 
 def test_criterion_3_adjoint_battery():
-    ok = char_poly_failures(random.Random(103), 100) == 0
+    ok = tally(char_poly_identities(random.Random(103), 100)).passed
     report(3, "adjoint / characteristic-polynomial battery (100 samples)", ok)
 
 
 def test_criterion_4_twist_invariance():
-    ok = twist_unit_failures(random.Random(104), 100) == 0
+    ok = tally(twist_unit_identities(random.Random(104), 100)).passed
     report(4, "twist invariance of both determinants at a=b=1 (100 samples)", ok)
 
 
 def test_criterion_5_reconstruction():
-    ok = reconstruction_failures(random.Random(105), 50) == 0
+    ok = tally(reconstruction_identities(random.Random(105), 50)).passed
     report(5, "reconstruction recovers 3z on both routes (50 x 3 samples)", ok)
 
 
@@ -67,15 +69,15 @@ def _independent(x1, x2) -> bool:
 
 def test_criterion_6_solvers():
     rng = random.Random(106)
-    bad = commute_failures(rng, 100) + sylvester_failures(rng, 4) + centralizer_failures()
     res = structured_instance_search(UNIT, bound=2)
-    bad += structured_failures(rng, res)
-    ok = bad == 0 and all(_independent(x1, x2) for _, _, x1, x2 in res["verified"])
+    outcomes = chain(commute_identities(rng, 100), sylvester_identities(rng, 4),
+                     centralizer_identities(), structured_identities(rng, res))
+    ok = tally(outcomes).passed and all(_independent(x1, x2) for _, _, x1, x2 in res["verified"])
     report(6, "equation solvers (singularity, round trip, centralizer, structured)", ok)
 
 
 def test_criterion_7_sequence_identities():
-    ok = sequence_failures(random.Random(107), 100) == 0
+    ok = tally(sequence_identities(random.Random(107), 100)).passed
     report(7, "the seven sequence identities hold for 1 <= n <= 100", ok)
 
 
@@ -83,7 +85,7 @@ def test_criterion_8_norm_closed_form_and_lemmas():
     rows = run_lemma_suite(30)
     repaired = all(r["candidate_ok"] or r["verified_ok"] for r in rows)
     failing = sorted(r["name"] for r in rows if not r["candidate_ok"])
-    ok = closed_form_failures(30) == 0 and repaired
+    ok = tally(closed_form_identities(30)).passed and repaired
     report(8, f"closed-form norm (n<=30) + derivation audit ({len(failing)} candidates corrected)", ok)
 
 

@@ -25,7 +25,7 @@ from symbol3.fibonacci import (
     run_lemma_suite,
 )
 from symbol3.representations import det, lambda_mat
-from symbol3.verify import cube_sum_failures, fib_element_failures, general_a_failures
+from symbol3.verify import cube_sum_identities, fib_element_identities, general_a_identities, tally
 
 
 def test_fib_values():
@@ -47,6 +47,26 @@ def test_fib_memory_is_not_quadratic():
         tracemalloc.stop()
     assert peak < 5 * 2**20
     assert value == horadam(30000, 0, 1)
+
+
+def test_fib_cache_is_bounded():
+    fib.cache_clear()
+    fib_identity_suite(200)
+    run_lemma_suite(200)
+    misses = fib.cache_info().misses
+    fib_identity_suite(200)
+    run_lemma_suite(200)
+    assert fib.cache_info().misses == misses  # the second pass always hits
+
+    fib.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(20001):
+            fib(n)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * 2**20
 
 
 def test_horadam():
@@ -78,7 +98,7 @@ def test_fib_element_recurrence():
 
 
 def test_generalized_element():
-    assert fib_element_failures(random.Random(41), 10, 30) == 0
+    assert tally(fib_element_identities(random.Random(41), 10, 30)).passed
     lucas_like = generalized_element(0, 1, 1)
     by_exponent = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)]
     values = [lucas_like.coeff(e) for e in by_exponent]
@@ -121,7 +141,7 @@ def test_candidate_closed_form_disagrees():
 
 
 def test_general_a_norm():
-    assert general_a_failures((CycQ(2), CycQ(5), OMEGA, CycQ(1) + OMEGA), 11) == 0
+    assert tally(general_a_identities((CycQ(2), CycQ(5), OMEGA, CycQ(1) + OMEGA), 11)).passed
     # the candidate variant does not survive the same comparison
     algebra = SymbolAlgebra(CycQ(1), CycQ(1))
     assert any(
@@ -180,7 +200,7 @@ def test_omega_free_block_positivity_values():
 
 
 def test_cube_sum_factorization():
-    assert cube_sum_failures(random.Random(42), 50) == 0
+    assert tally(cube_sum_identities(random.Random(42), 50)).passed
 
 
 def test_fib_inverse_round_trip():
