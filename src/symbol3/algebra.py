@@ -16,9 +16,11 @@ never from a transcribed table.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .cyclotomic import CycQ, OMEGA_POW, ONE, ZERO, _coerce
+from .cyclotomic import HALF, CycQ, OMEGA_POW, ONE, ZERO, _coerce
 
 
 class ParamsMismatch(ValueError):
@@ -44,7 +46,7 @@ def basis_product_exponents(e1, e2):
 class SymbolAlgebra:
     """The pair (a, b) of nonzero scalars defining S, plus element constructors."""
 
-    __slots__ = ("a", "b", "_table")
+    __slots__ = ("a", "b", "_table", "_int_table")
 
     def __init__(self, a, b):
         a = _as_cycq(a)
@@ -54,6 +56,7 @@ class SymbolAlgebra:
         self.a = a
         self.b = b
         self._table = None
+        self._int_table = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymbolAlgebra) and self.a == other.a and self.b == other.b
@@ -78,6 +81,18 @@ class SymbolAlgebra:
                 rows.append(tuple(row))
             self._table = tuple(rows)
         return self._table
+
+    def _integer_table(self):
+        """table() over its least common denominator: (den, rows) with
+        rows[i][k] = (r, s, index) where table[i][k] = ((r + s*w) / den, index)."""
+        if self._int_table is None:
+            table = self.table()
+            den, pairs = _numerators([scalar for row in table for scalar, _ in row])
+            pairs = iter(pairs)
+            self._int_table = den, tuple(
+                tuple((*next(pairs), index) for _, index in row) for row in table
+            )
+        return self._int_table
 
     def element(self, coeffs: Iterable) -> "SymbolElement":
         cs = tuple(_as_cycq(c) for c in coeffs)
@@ -170,18 +185,31 @@ class SymbolElement:
     def __mul__(self, other):
         if isinstance(other, SymbolElement):
             self._check_same(other)
-            table = self.algebra.table()
-            out = [ZERO] * 9
-            for i, ci in enumerate(self.coeffs):
-                if not ci:
+            # Each operand is (p_k + q_k w) / d over its least common denominator,
+            # so the term products stay in ints and each output is normalised once.
+            den, table = self.algebra._integer_table()
+            d1, left = _numerators(self.coeffs)
+            d2, right = _numerators(other.coeffs)
+            right = [(k, p, q) for k, (p, q) in enumerate(right) if p or q]
+            out_r = [0] * 9
+            out_s = [0] * 9
+            for (p1, q1), row in zip(left, table):
+                if not (p1 or q1):
                     continue
-                row = table[i]
-                for k, ck in enumerate(other.coeffs):
-                    if not ck:
-                        continue
-                    scalar, idx = row[k]
-                    out[idx] = out[idx] + ci * ck * scalar
-            return SymbolElement(self.algebra, tuple(out))
+                for k, p2, q2 in right:
+                    tr, ts, idx = row[k]
+                    # (p1 + q1 w)(p2 + q2 w)(tr + ts w), each step using w^2 = -1 - w
+                    cross = q1 * q2
+                    u = p1 * p2 - cross
+                    v = p1 * q2 + q1 * p2 - cross
+                    cross = v * ts
+                    out_r[idx] += u * tr - cross
+                    out_s[idx] += u * ts + v * tr - cross
+            d = d1 * d2 * den
+            return SymbolElement(
+                self.algebra,
+                tuple(CycQ(Fraction(r, d), Fraction(s, d)) for r, s in zip(out_r, out_s)),
+            )
         scalar = _coerce(other)
         if scalar is NotImplemented:
             return NotImplemented
@@ -214,8 +242,7 @@ class SymbolElement:
 
     def _pi_form(self, sq: "SymbolElement") -> CycQ:
         tau = self.reduced_trace()
-        diff = tau * tau - sq.reduced_trace()
-        return CycQ(diff.r / 2, diff.s / 2)
+        return (tau * tau - sq.reduced_trace()) * HALF
 
     def reduced_norm(self) -> CycQ:
         """eta(z), evaluated as the explicit cubic form in the coefficients.
@@ -282,6 +309,16 @@ def _as_cycq(value) -> CycQ:
     if out is NotImplemented:
         raise TypeError(f"cannot interpret {value!r} as a scalar in Q(w)")
     return out
+
+
+def _numerators(scalars) -> tuple:
+    """(d, [(p, q), ...]) with each scalar equal to (p + q*w) / d, where d > 0
+    is the least common denominator of all their rational parts."""
+    d = math.lcm(*(part.denominator for c in scalars for part in (c.r, c.s)))
+    return d, [
+        (c.r.numerator * (d // c.r.denominator), c.s.numerator * (d // c.s.denominator))
+        for c in scalars
+    ]
 
 
 def element_to_dict(z: SymbolElement) -> dict:

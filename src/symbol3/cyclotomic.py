@@ -19,10 +19,46 @@ class ScalarFormatError(ValueError):
 
 _RAT = r"-?\d+(?:/\d+)?"
 _SCALAR_RE = re.compile(rf"^({_RAT})(?:([+-])(\d+(?:/\d+)?)\*w)?$")
+_LOG10_2 = 0.30102999566398120
+
+
+def _int_text(n: int) -> str:
+    """str(n) for an int of any size.  Past the interpreter's int-to-str digit
+    limit it splits n at about half its decimal digits instead of lifting the
+    limit globally."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_text(-n)
+    half = int(n.bit_length() * _LOG10_2) // 2
+    hi, lo = divmod(n, 10**half)
+    return _int_text(hi) + _int_text(lo).zfill(half)
+
+
+def _text_int(text: str) -> int:
+    """int(text) for an optionally signed run of decimal digits of any length;
+    the inverse of _int_text."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    if text.startswith("-"):
+        return -_text_int(text[1:])
+    half = len(text) // 2
+    return _text_int(text[:-half]) * 10**half + _text_int(text[-half:])
+
+
+def _parse_rat(text: str) -> Fraction:
+    num, _, den = text.partition("/")
+    return Fraction(_text_int(num), _text_int(den) if den else 1)
 
 
 def _fmt_rat(q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    if q.denominator == 1:
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 class CycQ:
@@ -43,9 +79,9 @@ class CycQ:
         r, sign, s = m.groups()
         try:
             if s is None:
-                return cls(Fraction(r))
-            sval = Fraction(s)
-            return cls(Fraction(r), -sval if sign == "-" else sval)
+                return cls(_parse_rat(r))
+            sval = _parse_rat(s)
+            return cls(_parse_rat(r), -sval if sign == "-" else sval)
         except ZeroDivisionError:
             raise ScalarFormatError(f"zero denominator in {text!r}") from None
 
@@ -56,7 +92,7 @@ class CycQ:
         return f"{_fmt_rat(self.r)}{sign}{_fmt_rat(abs(self.s))}*w"
 
     def __repr__(self) -> str:
-        return f"CycQ({self.r!r}, {self.s!r})"
+        return f"CycQ.parse('{self}')"
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -159,6 +195,7 @@ ZERO = CycQ(0)
 ONE = CycQ(1)
 OMEGA = CycQ(0, 1)
 OMEGA2 = OMEGA * OMEGA
+HALF = CycQ(Fraction(1, 2))
 
 # w^k for k = 0, 1, 2; used by the basis-product reduction everywhere.
 OMEGA_POW = (ONE, OMEGA, OMEGA2)

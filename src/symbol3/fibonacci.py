@@ -21,11 +21,10 @@ candidate form and, where that fails, in a verified corrected form.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .algebra import EXPONENTS, SymbolAlgebra, SymbolElement
-from .cyclotomic import OMEGA, OMEGA_POW, CycQ
+from .cyclotomic import HALF, OMEGA, OMEGA_POW, CycQ
 
 
 class UnsupportedParams(ValueError):
@@ -113,10 +112,12 @@ _SEQUENCE_IDENTITIES = (
 
 
 def fib_identity_suite(nmax: int) -> list:
-    """Check the seven classical identities for 1 <= n <= nmax; (name, ok) rows."""
+    """Check the seven classical identities for 1 <= n <= nmax; one
+    (name, n, ok) row per identity and n."""
     return [
-        (name, all(check(n) for n in range(1, nmax + 1)))
+        (name, n, check(n))
         for name, check in _SEQUENCE_IDENTITIES
+        for n in range(1, nmax + 1)
     ]
 
 
@@ -220,9 +221,6 @@ def invertibility_scan(nmax: int, algebra: SymbolAlgebra = UNIT_ALGEBRA) -> dict
 # --------------------------------------------------------------------------
 # derivation audit: the chain of cubic-sum identities behind the closed form
 # --------------------------------------------------------------------------
-
-_HALF = CycQ(Fraction(1, 2))
-
 
 def _lin(n, c2, c3):
     return c2 * fib(n + 2) + c3 * fib(n + 3)
@@ -340,10 +338,10 @@ LEMMAS = (
     Lemma(
         "omega_block_057",
         ("w057",),
-        lambda n: _HALF
+        lambda n: HALF
         * _lin(n, CycQ(4, 2), CycQ(7, -1))
         * _quad(n, CycQ(287, -40), CycQ(285, -64), CycQ(31, -24), CycQ(220, -64)),
-        lambda n: _HALF
+        lambda n: HALF
         * _lin(n, CycQ(4, 2), CycQ(7, -1))
         * _quad(n, CycQ(417, -18), CycQ(255, -42), CycQ(-159, 18)),
     ),
@@ -352,17 +350,17 @@ LEMMAS = (
         ("w138",),
         lambda n: _lin(n, CycQ(-1, 5), CycQ(-2, 8))
         * _quad(n, CycQ(-1156, -1392), CycQ(882, 970), CycQ(-169, -182), CycQ(881, 970)),
-        lambda n: _HALF
+        lambda n: HALF
         * _lin(n, CycQ(-1, 5), CycQ(2, 8))
         * _quad(n, CycQ(-1419, -1614), CycQ(-879, -970), CycQ(543, 606)),
     ),
     Lemma(
         "omega_block_246",
         ("w246",),
-        lambda n: -_HALF
+        lambda n: -HALF
         * _lin(n, CycQ(2, 2), CycQ(1, 3))
         * _quad(n, CycQ(309, 520), CycQ(-21, 112), CycQ(47, 80), CycQ(24, 112)),
-        lambda n: -_HALF
+        lambda n: -HALF
         * _lin(n, CycQ(2, 2), CycQ(1, 3))
         * _quad(n, CycQ(185, 316), CycQ(115, 204), CycQ(-71, -124)),
     ),
@@ -386,7 +384,7 @@ LEMMAS = (
         ("w2_048",),
         lambda n: _lin(n, CycQ(8, -5), CycQ(8, -8))
         * _quad(n, CycQ(325, 1460), CycQ(-127, -1030), CycQ(42, 208), CycQ(-127, -1030)),
-        lambda n: -_HALF
+        lambda n: -HALF
         * _lin(n, CycQ(2, 5), CycQ(8, 8))
         * _quad(n, CycQ(255, 1656), CycQ(195, 1064), CycQ(-111, -648)),
     ),

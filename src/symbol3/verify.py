@@ -256,7 +256,7 @@ def structured_identities(rng: random.Random, search: dict):
 
 
 def sequence_identities(rng: random.Random, nmax: int):
-    yield from (ok for _, ok in fib_identity_suite(nmax))
+    yield from (ok for _, _, ok in fib_identity_suite(nmax))
     for _ in range(20):
         p, q = rng.randint(-9, 9), rng.randint(-9, 9)
         n = rng.randint(0, 50)

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from symbol3.algebra import SymbolElement
 from symbol3 import cli
+from symbol3.cyclotomic import CycQ
+from symbol3.fibonacci import closed_form_norm
 from symbol3.cli import InputError, _element_from_file
 
 
@@ -50,7 +52,7 @@ def test_malformed_scalar_exit_code():
 
 def test_library_value_error_exit_code():
     # ValueErrors raised below the CLI end in one error line and exit 2
-    for args in (("fib", "--n", "-1"), ("fib", "--n", "8000", "--check-invertible")):
+    for args in (("fib", "--n", "-1"), ("fib", "--n", "-1", "--p", "1", "--q", "2")):
         proc = run_cli(*args)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
@@ -148,6 +150,16 @@ def test_fib_check_invertible():
     assert payload["n"] == 5
     assert payload["invertible"] is True
     assert payload["eta"] not in ("0", "")
+
+
+def test_fib_check_invertible_past_the_int_digit_limit():
+    # eta(F_8000) has more than 4300 decimal digits
+    proc = run_cli("fib", "--n", "8000", "--check-invertible")
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["invertible"] is True
+    assert CycQ.parse(payload["eta"]) == closed_form_norm(8000)
+    assert len(payload["eta"]) > 4300
 
 
 def test_fib_element_output_matches_library(tmp_path):

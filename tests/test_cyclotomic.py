@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symbol3.cyclotomic import CycQ, OMEGA, ONE, ScalarFormatError, ZERO
 
@@ -73,6 +73,38 @@ def test_parse_format_round_trip(u):
     assert CycQ.parse(str(u)) == u
     # and the canonical string is stable
     assert str(CycQ.parse(str(u))) == str(u)
+
+
+def test_text_of_integers_past_the_digit_limit():
+    assert str(CycQ(10**5000)) == "1" + "0" * 5000
+    big = CycQ(Fraction(10**5000 + 1, 3), -(10**4400))
+    assert repr(big) == f"CycQ.parse('{big}')"
+    assert str(CycQ(Fraction(-1, 10**5000), 10**5000)) == f"-1/1{'0' * 5000}+1{'0' * 5000}*w"
+    assert CycQ.parse("1" * 5000) == CycQ((10**5000 - 1) // 9)
+    assert CycQ.parse("0-7/" + "9" * 6000 + "*w") == CycQ(0, Fraction(-7, 10**6000 - 1))
+
+
+big_ints = st.integers(1, 20000).flatmap(lambda k: st.integers(-(10**k), 10**k))
+big_rationals = st.builds(Fraction, big_ints, big_ints.filter(bool))
+
+
+@settings(max_examples=40, deadline=None)
+@given(big_rationals, big_rationals)
+def test_parse_format_round_trip_large(r, s):
+    u = CycQ(r, s)
+    assert CycQ.parse(str(u)) == u
+
+
+@given(
+    st.text()
+    | st.from_regex(r"-?\d+(/\d+)?([+-]\d+(/\d+)?\*w)?", fullmatch=True)
+)
+def test_parse_returns_a_scalar_or_scalar_format_error(text):
+    try:
+        value = CycQ.parse(text)
+    except ScalarFormatError:
+        return
+    assert isinstance(value, CycQ)
 
 
 @pytest.mark.parametrize("text", ["1/2", "-3+2/5*w", "0+1*w", "-7", "0-3/4*w"])

@@ -25,7 +25,14 @@ from symbol3.fibonacci import (
     run_lemma_suite,
 )
 from symbol3.representations import det, lambda_mat
-from symbol3.verify import cube_sum_identities, fib_element_identities, general_a_identities, tally
+from symbol3.verify import (
+    Tally,
+    cube_sum_identities,
+    fib_element_identities,
+    general_a_identities,
+    sequence_identities,
+    tally,
+)
 
 
 def test_fib_values():
@@ -107,7 +114,14 @@ def test_generalized_element():
 
 def test_identity_suite():
     rows = fib_identity_suite(100)
-    assert len(rows) == 7 and all(ok for _, ok in rows)
+    assert len(rows) == 7 * 100 and all(ok for _, _, ok in rows)
+    assert len({name for name, _, _ in rows}) == 7
+
+
+def test_sequence_identities_count_each_identity_and_n():
+    # seven classical identities per n, plus 20 draws of three Horadam relations
+    for nmax in (1, 30, 100):
+        assert tally(sequence_identities(random.Random(1), nmax)) == Tally(7 * nmax + 60, 0)
     # spot instances
     assert fib(1) ** 2 - fib(0) * fib(2) == 1
     assert fib(6) == fib(3) ** 2 + 2 * fib(3) * fib(2)
