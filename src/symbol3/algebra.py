@@ -11,16 +11,16 @@ Multiplication comes from the closed-form rewriting rule
     (x^i y^j)(x^k y^l) = w^(jk) * a^((i+k) div 3) * b^((j+l) div 3)
                          * x^((i+k) mod 3) y^((j+l) mod 3),
 
-never from a transcribed table.
+never from a transcribed table.  SymbolAlgebra.table() is the only place that
+encodes these structure constants: the reduced norm eta, like pi and the
+adjoint, is read from element products (SymbolElement.characteristic).
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .cyclotomic import HALF, CycQ, OMEGA_POW, ONE, ZERO, _coerce
+from .cyclotomic import HALF, CycQ, OMEGA_POW, ONE, ZERO, _coerce, from_numerators, numerators
 
 
 class ParamsMismatch(ValueError):
@@ -87,7 +87,7 @@ class SymbolAlgebra:
         rows[i][k] = (r, s, index) where table[i][k] = ((r + s*w) / den, index)."""
         if self._int_table is None:
             table = self.table()
-            den, pairs = _numerators([scalar for row in table for scalar, _ in row])
+            den, pairs = numerators([scalar for row in table for scalar, _ in row])
             pairs = iter(pairs)
             self._int_table = den, tuple(
                 tuple((*next(pairs), index) for _, index in row) for row in table
@@ -188,8 +188,8 @@ class SymbolElement:
             # Each operand is (p_k + q_k w) / d over its least common denominator,
             # so the term products stay in ints and each output is normalised once.
             den, table = self.algebra._integer_table()
-            d1, left = _numerators(self.coeffs)
-            d2, right = _numerators(other.coeffs)
+            d1, left = numerators(self.coeffs)
+            d2, right = numerators(other.coeffs)
             right = [(k, p, q) for k, (p, q) in enumerate(right) if p or q]
             out_r = [0] * 9
             out_s = [0] * 9
@@ -205,11 +205,7 @@ class SymbolElement:
                     cross = v * ts
                     out_r[idx] += u * tr - cross
                     out_s[idx] += u * ts + v * tr - cross
-            d = d1 * d2 * den
-            return SymbolElement(
-                self.algebra,
-                tuple(CycQ(Fraction(r, d), Fraction(s, d)) for r, s in zip(out_r, out_s)),
-            )
+            return SymbolElement(self.algebra, from_numerators(d1 * d2 * den, out_r, out_s))
         scalar = _coerce(other)
         if scalar is NotImplemented:
             return NotImplemented
@@ -236,57 +232,41 @@ class SymbolElement:
         """tau(z) = 3*c0; the 9x9 left representation has trace 9*c0 = 3*tau(z)."""
         return 3 * self.coeffs[0]
 
+    def characteristic(self) -> tuple:
+        """(CharData(tau, pi, eta), z*) from one square and one product.
+
+        pi(z) = (tau(z)^2 - tau(z^2)) / 2 and z* = z^2 - tau(z) z + pi(z).  By
+        Cayley-Hamilton z z* = eta(z), so eta is the scalar coefficient of
+        z z*; the cube of eta equals det of the left representation, which
+        the verification suite checks independently.
+        """
+        sq = self * self
+        tau = self.reduced_trace()
+        pi = (tau * tau - sq.reduced_trace()) * HALF
+        adj = sq - self.scale(tau) + self.algebra.scalar(pi)
+        return CharData(tau, pi, (self * adj).coeffs[0]), adj
+
     def pi_form(self) -> CycQ:
         """pi(z) = (tau(z)^2 - tau(z^2)) / 2."""
-        return self._pi_form(self * self)
-
-    def _pi_form(self, sq: "SymbolElement") -> CycQ:
-        tau = self.reduced_trace()
-        return (tau * tau - sq.reduced_trace()) * HALF
+        return self.characteristic()[0].pi
 
     def reduced_norm(self) -> CycQ:
-        """eta(z), evaluated as the explicit cubic form in the coefficients.
-
-        Writing c_ij for the coefficient of x^i y^j:
-
-          eta = a^2 (c20^3 + b c21^3 + b^2 c22^3 - 3 b c20 c21 c22)
-              + a   (c10^3 + b c11^3 + b^2 c12^3 - 3 b c10 c11 c12)
-              - 3a  (c00 c10 c20 + b c01 c11 c21 + b^2 c02 c12 c22)
-              - 3ab w   (c00 c12 c21 + c01 c10 c22 + c02 c11 c20)
-              - 3ab w^2 (c00 c11 c22 + c02 c10 c21 + c01 c12 c20)
-              +      c00^3 + b c01^3 + b^2 c02^3 - 3 b c00 c01 c02.
-
-        The cube of this value equals det of the left representation, which the
-        verification suite checks independently.
-        """
-        a, b = self.algebra.a, self.algebra.b
-        c = self.coeff
-        c00, c10, c20 = c((0, 0)), c((1, 0)), c((2, 0))
-        c01, c11, c21 = c((0, 1)), c((1, 1)), c((2, 1))
-        c02, c12, c22 = c((0, 2)), c((1, 2)), c((2, 2))
-        w, w2 = OMEGA_POW[1], OMEGA_POW[2]
-        out = a * a * (c20**3 + b * c21**3 + b * b * c22**3 - 3 * b * c20 * c21 * c22)
-        out = out + a * (c10**3 + b * c11**3 + b * b * c12**3 - 3 * b * c10 * c11 * c12)
-        out = out - 3 * a * (c00 * c10 * c20 + b * c01 * c11 * c21 + b * b * c02 * c12 * c22)
-        out = out - 3 * a * b * w * (c00 * c12 * c21 + c01 * c10 * c22 + c02 * c11 * c20)
-        out = out - 3 * a * b * w2 * (c00 * c11 * c22 + c02 * c10 * c21 + c01 * c12 * c20)
-        out = out + c00**3 + b * c01**3 + b * b * c02**3 - 3 * b * c00 * c01 * c02
-        return out
+        """eta(z), the scalar z z*."""
+        return self.characteristic()[0].eta
 
     def char_poly(self) -> CharData:
         """(tau, pi, eta); the element is a root of X^3 - tau X^2 + pi X - eta."""
-        return CharData(self.reduced_trace(), self.pi_form(), self.reduced_norm())
+        return self.characteristic()[0]
 
     def adjoint(self) -> "SymbolElement":
         """z* = z^2 - tau(z) z + pi(z); satisfies z z* = z* z = eta(z)."""
-        sq = self * self
-        return sq - self.scale(self.reduced_trace()) + self.algebra.scalar(self._pi_form(sq))
+        return self.characteristic()[1]
 
     def inverse(self) -> "SymbolElement":
-        eta = self.reduced_norm()
+        (_, _, eta), adj = self.characteristic()
         if not eta:
             raise NotInvertible("reduced norm is zero")
-        return self.adjoint().scale(eta.inverse())
+        return adj.scale(eta.inverse())
 
     def twist(self, k: int) -> "SymbolElement":
         """Scale the y-degree-d coefficient block by w^(d*k); an algebra automorphism."""
@@ -309,16 +289,6 @@ def _as_cycq(value) -> CycQ:
     if out is NotImplemented:
         raise TypeError(f"cannot interpret {value!r} as a scalar in Q(w)")
     return out
-
-
-def _numerators(scalars) -> tuple:
-    """(d, [(p, q), ...]) with each scalar equal to (p + q*w) / d, where d > 0
-    is the least common denominator of all their rational parts."""
-    d = math.lcm(*(part.denominator for c in scalars for part in (c.r, c.s)))
-    return d, [
-        (c.r.numerator * (d // c.r.denominator), c.s.numerator * (d // c.s.denominator))
-        for c in scalars
-    ]
 
 
 def element_to_dict(z: SymbolElement) -> dict:

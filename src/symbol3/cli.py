@@ -24,7 +24,7 @@ from .algebra import (
     element_from_dict,
     element_to_dict,
 )
-from .cyclotomic import CycQ, ScalarFormatError
+from .cyclotomic import CycQ
 from .fibonacci import (
     UnsupportedParams,
     fib_element,
@@ -50,18 +50,8 @@ class InputError(ValueError):
     """Malformed scalar, coefficient list or element JSON (exit code 2)."""
 
 
-def _parse_scalar(text: str) -> CycQ:
-    try:
-        return CycQ.parse(text)
-    except ScalarFormatError as exc:
-        raise InputError(str(exc)) from None
-
-
 def _algebra_from_args(args) -> SymbolAlgebra:
-    try:
-        return SymbolAlgebra(_parse_scalar(args.a), _parse_scalar(args.b))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return SymbolAlgebra(CycQ.parse(args.a), CycQ.parse(args.b))
 
 
 def _element_from_file(path: str) -> SymbolElement:
@@ -88,7 +78,7 @@ def _read_element(path, coeffs, args, missing: str, algebra=None) -> SymbolEleme
     parts = coeffs.split(",")
     if len(parts) != 9:
         raise InputError("--coeffs needs exactly 9 comma-separated scalars")
-    return algebra.element([_parse_scalar(p) for p in parts])
+    return algebra.element([CycQ.parse(p) for p in parts])
 
 
 def _primary_element(args) -> SymbolElement:

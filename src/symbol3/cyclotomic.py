@@ -7,6 +7,7 @@ reductions use the minimal polynomial w^2 + w + 1 = 0.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -189,6 +190,21 @@ def _coerce(value) -> "CycQ":
     if isinstance(value, _RATIONAL_TYPES):
         return CycQ(value)
     return NotImplemented
+
+
+def numerators(scalars) -> tuple:
+    """(d, [(p, q), ...]) with each scalar equal to (p + q*w) / d, where d > 0
+    is the least common denominator of all their rational parts."""
+    d = math.lcm(*(part.denominator for c in scalars for part in (c.r, c.s)))
+    return d, [
+        (c.r.numerator * (d // c.r.denominator), c.s.numerator * (d // c.s.denominator))
+        for c in scalars
+    ]
+
+
+def from_numerators(d: int, rs, ss) -> tuple:
+    """The scalars (r + s*w) / d for r, s in zip(rs, ss); the inverse of numerators."""
+    return tuple(CycQ(Fraction(r, d), Fraction(s, d)) for r, s in zip(rs, ss))
 
 
 ZERO = CycQ(0)

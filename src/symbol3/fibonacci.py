@@ -2,8 +2,8 @@
 and the closed-form reduced norm at unit parameters.
 
 The closed form shipped by closed_form_norm was pinned against the exact
-oracle (the explicit norm form, cross-checked by the representation
-determinant): at a = b = 1, with u = f_{n+1}, v = f_n,
+oracle (the reduced norm read from F_n F_n*, cross-checked by the
+representation determinant): at a = b = 1, with u = f_{n+1}, v = f_n,
 
     eta(F_n) = 5256 u^3 + 9768 u^2 v + 6072 u v^2 + 1264 v^3
              = f_{n+2} h_{2n}^{987,1859} + f_{n+3} h_{2n}^{1627,3075}
@@ -194,8 +194,8 @@ def omega_free_block_candidate(n: int) -> int:
 def invertibility_row(n: int, element: SymbolElement) -> dict:
     """{"n", "eta", "invertible"}: eta(element) != 0 and element * element^-1 = 1,
     tested as element * element* = eta, which is the same for eta != 0."""
-    eta = element.reduced_norm()
-    invertible = bool(eta) and element * element.adjoint() == element.algebra.scalar(eta)
+    (_, _, eta), adj = element.characteristic()
+    invertible = bool(eta) and element * adj == element.algebra.scalar(eta)
     return {"n": n, "eta": str(eta), "invertible": invertible}
 
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .algebra import SymbolAlgebra, SymbolElement
 from .cyclotomic import ZERO
-from .representations import MatK, gamma_mat, kernel_basis, lambda_mat, solve_affine, vec_rep
+from .representations import MatK, gamma_mat, lambda_mat, solve_affine, vec_rep
+from .representations import kernel_basis  # noqa: F401  (bench/test_bench.py traces it here)
 
 
 class HypothesisViolated(ValueError):
@@ -56,9 +57,9 @@ class SolutionSet:
         return solve_affine(MatK(zip(*cols)), (z - self.particular).coeffs) is not None
 
 
-def _classify(particular, kernel, algebra, notes=()) -> SolutionSet:
+def _classify(particular, kernel, algebra) -> SolutionSet:
     if particular is None:
-        return SolutionSet(None, (), Verdict.NO_SOLUTION, tuple(notes))
+        return SolutionSet(None, (), Verdict.NO_SOLUTION)
     kern = tuple(algebra.element(v) for v in kernel)
     if not kern:
         verdict = Verdict.UNIQUE
@@ -66,15 +67,12 @@ def _classify(particular, kernel, algebra, notes=()) -> SolutionSet:
         verdict = Verdict.ALL_OF_SPACE
     else:
         verdict = Verdict.AFFINE_FAMILY
-    return SolutionSet(algebra.element(particular), kern, verdict, tuple(notes))
+    return SolutionSet(algebra.element(particular), kern, verdict)
 
 
 def solve_commute(a: SymbolElement) -> SolutionSet:
     """All Z with A Z = Z A; the kernel always contains 1 and A."""
-    algebra = a.algebra
-    kern = kernel_basis(lambda_mat(a) - gamma_mat(a))
-    zero = (ZERO,) * 9
-    return _classify(zero, kern, algebra)
+    return _solve_linear(a, a, a.algebra.zero())
 
 
 def solve_intertwine(a: SymbolElement, b: SymbolElement) -> SolutionSet:
@@ -85,21 +83,15 @@ def solve_intertwine(a: SymbolElement, b: SymbolElement) -> SolutionSet:
     enforced, since non-invertible kernel vectors may exist regardless.
     """
     a._check_same(b)
-    algebra = a.algebra
-    kern = kernel_basis(lambda_mat(a) - gamma_mat(b))
-    notes = []
-    invertible = [v for v in kern if algebra.element(v).reduced_norm()]
-    if invertible:
-        cond = (
-            a.reduced_trace() == b.reduced_trace()
-            and a.reduced_norm() == b.reduced_norm()
-        )
-        notes.append(
-            "invertible kernel element found; necessary condition "
-            f"tau(A)=tau(B), eta(A)=eta(B): {'holds' if cond else 'VIOLATED'}"
-        )
-    zero = (ZERO,) * 9
-    return _classify(zero, kern, algebra, notes)
+    sol = _solve_linear(a, b, a.algebra.zero())
+    if not any(k.reduced_norm() for k in sol.kernel):
+        return sol
+    cond = a.reduced_trace() == b.reduced_trace() and a.reduced_norm() == b.reduced_norm()
+    note = (
+        "invertible kernel element found; necessary condition "
+        f"tau(A)=tau(B), eta(A)=eta(B): {'holds' if cond else 'VIOLATED'}"
+    )
+    return replace(sol, notes=(note,))
 
 
 def _solve_linear(a: SymbolElement, b: SymbolElement, c: SymbolElement) -> SolutionSet:
@@ -150,15 +142,16 @@ def structured_solutions(a: SymbolElement, b: SymbolElement):
     algebra = a.algebra
     a0 = a - algebra.scalar(a.scalar_part())
     b0 = b - algebra.scalar(b.scalar_part())
-    pi_a = a0.pi_form()
+    _, pi_a, eta_a = a0.char_poly()
+    _, pi_b, eta_b = b0.char_poly()
     checks = (
         bool(a0),
         bool(b0),
         a.scalar_part() == b.scalar_part(),
         a0 != -b0,
-        not a0.reduced_norm(),
-        not b0.reduced_norm(),
-        pi_a == b0.pi_form(),
+        not eta_a,
+        not eta_b,
+        pi_a == pi_b,
         bool(pi_a),
     )
     for name, ok in zip(_STRUCTURED_HYPOTHESES, checks):
@@ -206,7 +199,8 @@ def structured_instance_search(algebra: SymbolAlgebra, bound: int = 2) -> dict:
                 coeffs[support[0]] = c1
                 coeffs[support[1]] = c2
                 z = algebra.element(coeffs)
-                if not z.reduced_norm() and z.pi_form():
+                _, pi, eta = z.char_poly()
+                if not eta and pi:
                     candidates.append(z)
     verified = []
     defective = []

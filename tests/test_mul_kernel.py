@@ -1,8 +1,13 @@
-"""Differential test of the element product against the per-term loop it replaced.
+"""Differential tests of the element product and the reduced norm against
+the code they replaced.
 
 `SymbolElement.__mul__` multiplies integer numerators over one common
-denominator per operand and per structure table.  The reference below is the
+denominator per operand and per structure table.  `reference_mul` is the
 earlier product, kept word for word: one `CycQ` multiply-add per nonzero term.
+
+`SymbolElement.reduced_norm` reads eta as the scalar z z* from products
+through the structure table.  `reference_reduced_norm` is the earlier
+hand-written cubic norm form, kept word for word.
 """
 
 from fractions import Fraction
@@ -10,7 +15,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from symbol3.algebra import SymbolAlgebra, SymbolElement
-from symbol3.cyclotomic import CycQ, ZERO
+from symbol3.cyclotomic import CycQ, OMEGA, OMEGA_POW, ONE, ZERO
 from symbol3.fibonacci import fib_element
 from symbol3.verify import ALGEBRAS
 
@@ -30,6 +35,36 @@ def reference_mul(self, other):
                 scalar, idx = row[k]
                 out[idx] = out[idx] + ci * ck * scalar
         return SymbolElement(self.algebra, tuple(out))
+
+
+def reference_reduced_norm(self) -> CycQ:
+    """eta(z), evaluated as the explicit cubic form in the coefficients.
+
+    Writing c_ij for the coefficient of x^i y^j:
+
+      eta = a^2 (c20^3 + b c21^3 + b^2 c22^3 - 3 b c20 c21 c22)
+          + a   (c10^3 + b c11^3 + b^2 c12^3 - 3 b c10 c11 c12)
+          - 3a  (c00 c10 c20 + b c01 c11 c21 + b^2 c02 c12 c22)
+          - 3ab w   (c00 c12 c21 + c01 c10 c22 + c02 c11 c20)
+          - 3ab w^2 (c00 c11 c22 + c02 c10 c21 + c01 c12 c20)
+          +      c00^3 + b c01^3 + b^2 c02^3 - 3 b c00 c01 c02.
+
+    The cube of this value equals det of the left representation, which the
+    verification suite checks independently.
+    """
+    a, b = self.algebra.a, self.algebra.b
+    c = self.coeff
+    c00, c10, c20 = c((0, 0)), c((1, 0)), c((2, 0))
+    c01, c11, c21 = c((0, 1)), c((1, 1)), c((2, 1))
+    c02, c12, c22 = c((0, 2)), c((1, 2)), c((2, 2))
+    w, w2 = OMEGA_POW[1], OMEGA_POW[2]
+    out = a * a * (c20**3 + b * c21**3 + b * b * c22**3 - 3 * b * c20 * c21 * c22)
+    out = out + a * (c10**3 + b * c11**3 + b * b * c12**3 - 3 * b * c10 * c11 * c12)
+    out = out - 3 * a * (c00 * c10 * c20 + b * c01 * c11 * c21 + b * b * c02 * c12 * c22)
+    out = out - 3 * a * b * w * (c00 * c12 * c21 + c01 * c10 * c22 + c02 * c11 * c20)
+    out = out - 3 * a * b * w2 * (c00 * c11 * c22 + c02 * c10 * c21 + c01 * c12 * c20)
+    out = out + c00**3 + b * c01**3 + b * b * c02**3 - 3 * b * c00 * c01 * c02
+    return out
 
 
 # a and b with denominators and a w part, so the integer table's denominator is not 1
@@ -68,3 +103,33 @@ def test_monomial_products_match_per_term_loop(algebra, index, coeff, right):
 def test_large_fibonacci_element_times_its_inverse():
     f = fib_element(3000)
     assert f * f.inverse() == f.algebra.one()
+
+
+def _element(a, b, support):
+    coeffs = [0] * 9
+    for index, c in support.items():
+        coeffs[index] = c
+    return SymbolAlgebra(a, b).element(coeffs)
+
+
+# One zero divisor (eta = 0) per verify.ALGEBRAS entry, from an exhaustive
+# search of coefficients in {0, +-1}.
+ZERO_DIVISORS = (
+    _element(ONE, ONE, {7: 1, 8: -1}),  # x^2y - xy^2 at (1, 1)
+    _element(CycQ(2), CycQ(3), {5: 1, 7: 1, 8: -1}),  # xy + x^2y - xy^2 at (2, 3)
+    _element(OMEGA, ONE + OMEGA, {6: 1, 7: -1, 8: 1}),  # x^2y^2 - x^2y + xy^2 at (w, 1 + w)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_ALGEBRAS), coefficient_lists)
+def test_reduced_norm_matches_cubic_form(algebra, coeffs):
+    z = algebra.element(coeffs)
+    assert z.reduced_norm() == reference_reduced_norm(z)
+
+
+def test_reduced_norm_matches_cubic_form_on_fixed_inputs():
+    f = fib_element(3000)
+    assert f.reduced_norm() == reference_reduced_norm(f)
+    for z in ZERO_DIVISORS:
+        assert z and z.reduced_norm() == reference_reduced_norm(z) == ZERO
