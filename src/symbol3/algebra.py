@@ -232,23 +232,27 @@ class SymbolElement:
         """tau(z) = 3*c0; the 9x9 left representation has trace 9*c0 = 3*tau(z)."""
         return 3 * self.coeffs[0]
 
-    def characteristic(self) -> tuple:
-        """(CharData(tau, pi, eta), z*) from one square and one product.
-
-        pi(z) = (tau(z)^2 - tau(z^2)) / 2 and z* = z^2 - tau(z) z + pi(z).  By
-        Cayley-Hamilton z z* = eta(z), so eta is the scalar coefficient of
-        z z*; the cube of eta equals det of the left representation, which
-        the verification suite checks independently.
-        """
+    def _from_square(self) -> tuple:
+        """(tau, pi, z*) from one square: pi(z) = (tau(z)^2 - tau(z^2)) / 2 and
+        z* = z^2 - tau(z) z + pi(z)."""
         sq = self * self
         tau = self.reduced_trace()
         pi = (tau * tau - sq.reduced_trace()) * HALF
-        adj = sq - self.scale(tau) + self.algebra.scalar(pi)
+        return tau, pi, sq - self.scale(tau) + self.algebra.scalar(pi)
+
+    def characteristic(self) -> tuple:
+        """(CharData(tau, pi, eta), z*) from one square and one product.
+
+        By Cayley-Hamilton z z* = eta(z), so eta is the scalar coefficient of
+        z z*; the cube of eta equals det of the left representation, which
+        the verification suite checks independently.
+        """
+        tau, pi, adj = self._from_square()
         return CharData(tau, pi, (self * adj).coeffs[0]), adj
 
     def pi_form(self) -> CycQ:
         """pi(z) = (tau(z)^2 - tau(z^2)) / 2."""
-        return self.characteristic()[0].pi
+        return self._from_square()[1]
 
     def reduced_norm(self) -> CycQ:
         """eta(z), the scalar z z*."""
@@ -260,7 +264,7 @@ class SymbolElement:
 
     def adjoint(self) -> "SymbolElement":
         """z* = z^2 - tau(z) z + pi(z); satisfies z z* = z* z = eta(z)."""
-        return self.characteristic()[1]
+        return self._from_square()[2]
 
     def inverse(self) -> "SymbolElement":
         (_, _, eta), adj = self.characteristic()

@@ -261,6 +261,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_fib(args) -> int:
+    if args.scan is None and args.lemmas:
+        raise InputError("--lemmas needs --scan")
+    if args.scan is not None and (
+        args.check_invertible or any(v is not None for v in (args.n, args.p, args.q))
+    ):
+        raise InputError("--scan takes none of --n, --p, --q and --check-invertible")
     algebra = _algebra_from_args(args)
     if args.scan is not None:
         report = invertibility_scan(args.scan, algebra)

@@ -108,6 +108,8 @@ class CycQ:
         return self.r != 0 or self.s != 0
 
     def __add__(self, other) -> "CycQ":
+        if type(other) is int:
+            return CycQ(self.r + other, self.s)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -131,6 +133,8 @@ class CycQ:
         return CycQ(-self.r, -self.s)
 
     def __mul__(self, other) -> "CycQ":
+        if type(other) is int:
+            return CycQ(self.r * other, self.s * other)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -144,13 +148,14 @@ class CycQ:
     def __pow__(self, n: int) -> "CycQ":
         if n < 0:
             return (self ** (-n)).inverse()
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return ONE
+        # left to right over the bits after the leading one: x**3 is two products
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def conj(self) -> "CycQ":

@@ -498,13 +498,15 @@ def run_lemma_suite(nmax: int = 30) -> list:
 
     Each row reports whether the candidate right side matches the exact left
     side, and, when a corrected variant is stored, whether that one does.
+    Every block is evaluated once per n; a left side sums its table entries.
     """
+    tables = [{name: block_sum(n, (name,)) for name in BLOCKS} for n in range(1, nmax + 1)]
     rows = []
     for lemma in LEMMAS:
         candidate_ok = True
         verified_ok = None if lemma.verified is None else True
-        for n in range(1, nmax + 1):
-            lhs = block_sum(n, lemma.blocks)
+        for n, table in enumerate(tables, 1):
+            lhs = sum(table[name] for name in lemma.blocks)
             if candidate_ok and lhs != lemma.candidate(n):
                 candidate_ok = False
             if lemma.verified is not None and verified_ok and lhs != lemma.verified(n):

@@ -112,6 +112,25 @@ def test_verify_checks_out_path_before_the_battery(tmp_path, monkeypatch, capsys
     assert err.startswith("error: cannot write output file:") and err.count("\n") == 1
 
 
+def test_fib_flags_that_would_be_dropped_are_rejected(capsys):
+    for argv in (
+        ["fib", "--lemmas", "--n", "3"],
+        ["fib", "--lemmas"],
+        ["fib", "--scan", "2", "--n", "5", "--check-invertible"],
+        ["fib", "--scan", "2", "--n", "5"],
+        ["fib", "--scan", "2", "--p", "1", "--q", "2"],
+        ["fib", "--scan", "2", "--q", "2"],
+        ["fib", "--scan", "2", "--check-invertible"],
+        ["fib", "--scan", "2", "--check-invertible", "--lemmas"],
+    ):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1, argv
+    assert cli.main(["fib", "--scan", "2", "--lemmas"]) == 0
+    assert json.loads(capsys.readouterr().out)["lemmas"]
+
+
 GOOD_SCALAR = st.sampled_from(("0", "1", "-2/3", "1+1*w", "0-1/2*w"))
 SCALAR_TEXT = GOOD_SCALAR | st.text("0123456789+-*/w", max_size=10) | st.text(max_size=10)
 JSON_VALUES = st.recursive(

@@ -95,6 +95,47 @@ def test_parse_format_round_trip_large(r, s):
     assert CycQ.parse(str(u)) == u
 
 
+# zero, small and past the 4300-digit text limit, of either sign
+int_operands = st.sampled_from((0, 1, -1, 10**4400 + 1, -(10**5000))) | big_ints
+
+
+@settings(max_examples=40, deadline=None)
+@given(big_rationals, big_rationals, int_operands)
+def test_int_operands_agree_with_the_coerced_scalar(r, s, k):
+    x = CycQ(r, s)
+    products = (x * k, k * x, x * CycQ(k), x * Fraction(k))
+    sums = (x + k, k + x, x + CycQ(k), x + Fraction(k))
+    assert all(type(value) is CycQ for value in products + sums)
+    assert len(set(products)) == 1 and len(set(sums)) == 1
+    assert products[0] == CycQ(r * k, s * k) and sums[0] == CycQ(r + k, s)
+
+
+@given(scalars, rationals)
+def test_bool_and_fraction_operands_still_coerce(x, q):
+    assert True * x == x * True == x
+    assert False * x == ZERO and x + False == x and True + x == x + 1
+    for value in (x * q, q * x, x + q, q + x):
+        assert type(value) is CycQ
+    assert x * q == x * CycQ(q) and q + x == x + CycQ(q)
+
+
+@given(scalars)
+def test_power_is_the_repeated_product(x):
+    product = ONE
+    for n in range(13):
+        assert x ** n == product
+        if x:
+            assert x ** -n == (x ** n).inverse()
+        product = product * x
+
+
+def test_power_of_zero():
+    assert ZERO ** 0 == ONE
+    assert ZERO ** 5 == ZERO
+    with pytest.raises(ZeroDivisionError):
+        ZERO ** -1
+
+
 @given(
     st.text()
     | st.from_regex(r"-?\d+(/\d+)?([+-]\d+(/\d+)?\*w)?", fullmatch=True)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from symbol3 import fibonacci
 from symbol3.algebra import SymbolAlgebra
 from symbol3.cyclotomic import CycQ, OMEGA
 from symbol3.fibonacci import (
@@ -194,6 +195,55 @@ def test_every_failing_lemma_has_a_corrected_form():
         if not row["candidate_ok"]:
             assert lemma.verified is not None
             assert row["verified_ok"]
+
+
+def reference_lemma_suite(nmax: int = 30) -> list:
+    """run_lemma_suite as it was before the block table: every lemma evaluates
+    its own blocks at every n."""
+    rows = []
+    for lemma in LEMMAS:
+        candidate_ok = True
+        verified_ok = None if lemma.verified is None else True
+        for n in range(1, nmax + 1):
+            lhs = block_sum(n, lemma.blocks)
+            if candidate_ok and lhs != lemma.candidate(n):
+                candidate_ok = False
+            if lemma.verified is not None and verified_ok and lhs != lemma.verified(n):
+                verified_ok = False
+            if not candidate_ok and (verified_ok is None or not verified_ok):
+                break
+        rows.append(
+            {"name": lemma.name, "candidate_ok": candidate_ok, "verified_ok": verified_ok}
+        )
+    return rows
+
+
+def test_lemma_suite_matches_the_reference():
+    for nmax in (1, 2, 30):
+        assert run_lemma_suite(nmax) == reference_lemma_suite(nmax)
+
+
+def _off_at(side, bad_n):
+    return lambda n: side(n) + (1 if n == bad_n else 0)
+
+
+def test_lemma_suite_matches_the_reference_on_damaged_sides(monkeypatch):
+    # cube_block_x2_product: the candidate fails at once, the verified side
+    # only at n = 17; run_block_0: the candidate fails only at n = 30
+    damaged = {
+        "cube_block_x2_product": lambda lemma: lemma._replace(
+            verified=_off_at(lemma.verified, 17)),
+        "run_block_0": lambda lemma: lemma._replace(candidate=_off_at(lemma.candidate, 30)),
+    }
+    lemmas = tuple(damaged.get(lemma.name, lambda x: x)(lemma) for lemma in LEMMAS)
+    monkeypatch.setattr(fibonacci, "LEMMAS", lemmas)
+    monkeypatch.setitem(globals(), "LEMMAS", lemmas)
+    for nmax in (1, 2, 16, 17, 29, 30):
+        rows = run_lemma_suite(nmax)
+        assert rows == reference_lemma_suite(nmax)
+        by_name = {row["name"]: row for row in rows}
+        assert by_name["cube_block_x2_product"]["verified_ok"] == (nmax < 17)
+        assert by_name["run_block_0"]["candidate_ok"] == (nmax < 30)
 
 
 def test_invertibility_scan():
