@@ -222,6 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--corrupt-fixture", action="store_true",
                      help="negative control: damage one fixture expectation")
     sub.add_argument("--out", metavar="FILE")
+    sub.add_argument("--timings", metavar="FILE",
+                     help="write each check's wall seconds as JSON to FILE (stdout is unchanged)")
 
     return parser
 
@@ -290,17 +292,22 @@ def _cmd_fib(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.out:
-        # an unwritable --out fails here, not after the whole battery
-        _write_out(args.out, "")
+    for path in (args.out, args.timings):
+        if path:
+            # an unwritable --out or --timings fails here, not after the whole battery
+            _write_out(path, "")
+    timings = {} if args.timings else None
     report = run_suite(
         suite=args.suite,
         nmax=args.nmax,
         samples=args.samples,
         seed=args.seed,
         corrupt_fixture=args.corrupt_fixture,
+        timings=timings,
     )
     _emit(report, args)
+    if args.timings:
+        _write_out(args.timings, json.dumps(timings, indent=1) + "\n")
     failed = [row["name"] for row in report["checks"] if not row["pass"]]
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)

@@ -3,16 +3,19 @@
 lambda_mat(z) has column k equal to the coordinates of z * b_k, gamma_mat(z)
 the coordinates of b_k * z, for b_k running over the fixed basis.  Both are
 generated from multiplication; transcribed tables exist only as diagnostic
-fixtures (see fixtures.py).  All linear algebra is exact Gaussian elimination
-over Q(w), and one forward elimination, _echelon, does it: det reads the signed
-pivot product, and _rref adds one back-substitution pass, from which
-kernel_basis and solve_affine read the solution set.
+fixtures (see fixtures.py).  Matrix products, apply and the reconstruction
+product run over integer numerators, like the element product: each operand is
+written over its least common denominator, the sums stay in ints, and each
+output is normalised once (_products, _mixed_product).  Elimination is exact
+Gaussian elimination over Q(w), and one forward elimination, _echelon, does it:
+det reads the signed pivot product, and _rref adds one back-substitution pass,
+from which kernel_basis and solve_affine read the solution set.
 """
 
 from __future__ import annotations
 
 from .algebra import SymbolAlgebra, SymbolElement
-from .cyclotomic import CycQ, ONE, ZERO
+from .cyclotomic import CycQ, ONE, ZERO, from_numerators, numerators
 
 
 class IdentityViolation(RuntimeError):
@@ -50,11 +53,15 @@ class MatK:
         return self.rows[i][j]
 
     def __add__(self, other: "MatK") -> "MatK":
+        if not isinstance(other, MatK):
+            return NotImplemented
         return MatK(
             [[u + v for u, v in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
 
     def __sub__(self, other: "MatK") -> "MatK":
+        if not isinstance(other, MatK):
+            return NotImplemented
         return MatK(
             [[u - v for u, v in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
@@ -62,13 +69,8 @@ class MatK:
     def __mul__(self, other: "MatK") -> "MatK":
         if not isinstance(other, MatK):
             return NotImplemented
-        cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out.append(
-                [_dot(row, col) for col in cols]
-            )
-        return MatK(out)
+        cells = _products(self.rows, tuple(zip(*other.rows)))
+        return MatK(cells[i:i + 9] for i in range(0, 81, 9))
 
     def transpose(self) -> "MatK":
         return MatK(tuple(zip(*self.rows)))
@@ -81,15 +83,31 @@ class MatK:
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product, vec a 9-tuple of scalars."""
-        return tuple(_dot(row, vec) for row in self.rows)
+        return _products(self.rows, (vec,))
 
 
-def _dot(u, v) -> CycQ:
-    acc = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
+def _products(rows, cols) -> tuple:
+    """Every dot product row . col, row by row, as one flat tuple.  The rows
+    and the columns are each written as integer numerators p + q*w over their
+    least common denominator, so the sums stay in ints and each output is
+    normalised once; zero cells of the rows are skipped."""
+    d1, left = numerators([c for row in rows for c in row])
+    d2, right = numerators([c for col in cols for c in col])
+    right = [right[k:k + 9] for k in range(0, len(right), 9)]
+    out_r, out_s = [], []
+    for k in range(0, len(left), 9):
+        terms = [(j, p, q) for j, (p, q) in enumerate(left[k:k + 9]) if p or q]
+        for col in right:
+            # sum of (p1 + q1 w)(p2 + q2 w) = (pp - qq) + (cross - qq) w, as w^2 = -1 - w
+            pp = qq = cross = 0
+            for j, p1, q1 in terms:
+                p2, q2 = col[j]
+                pp += p1 * p2
+                qq += q1 * q2
+                cross += p1 * q2 + q1 * p2
+            out_r.append(pp - qq)
+            out_s.append(cross - qq)
+    return from_numerators(d1 * d2, out_r, out_s)
 
 
 def lambda_mat(z: SymbolElement) -> MatK:
@@ -226,12 +244,27 @@ def reconstruct(z: SymbolElement) -> SymbolElement:
 
 def _mixed_product(left, mat: MatK, right, algebra: SymbolAlgebra) -> SymbolElement:
     """sum_ij mat[i][j] * left_i * right_j for frames of (index, weight) pairs,
-    each monomial product read from the structure table."""
-    table = algebra.table()
-    out = [ZERO] * 9
-    for (l, weight_l), row in zip(left, mat.rows):
-        for (r, weight_r), s in zip(right, row):
-            if s:
-                scalar, index = table[l][r]
-                out[index] = out[index] + s * weight_l * weight_r * scalar
-    return algebra.element(out)
+    each monomial product read from the structure table.  The cells, the
+    frame weights and the table are integer numerators over one denominator
+    each, so the sum stays in ints and each output is normalised once."""
+    den, table = algebra._integer_table()
+    d_cells, cells = numerators([s for row in mat.rows for s in row])
+    d_weights, weights = numerators([weight for _, weight in left + right])
+    right = [(r, *weight) for (r, _), weight in zip(right, weights[9:])]
+    out_r = [0] * 9
+    out_s = [0] * 9
+    for k, ((l, _), (p1, q1)) in enumerate(zip(left, weights)):
+        row = table[l]
+        for (r, p2, q2), (p3, q3) in zip(right, cells[9 * k:9 * k + 9]):
+            if not (p3 or q3):
+                continue
+            tr, ts, index = row[r]
+            # (p1 + q1 w)(p2 + q2 w)(p3 + q3 w)(tr + ts w), each step using w^2 = -1 - w
+            cross = q1 * q2
+            u, v = p1 * p2 - cross, p1 * q2 + q1 * p2 - cross
+            cross = v * q3
+            u, v = u * p3 - cross, u * q3 + v * p3 - cross
+            cross = v * ts
+            out_r[index] += u * tr - cross
+            out_s[index] += u * ts + v * tr - cross
+    return SymbolElement(algebra, from_numerators(d_cells * d_weights * d_weights * den, out_r, out_s))

@@ -11,6 +11,7 @@ are data: a body, its rng stream, its arguments and a detail template."""
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from itertools import islice
 from fractions import Fraction
@@ -536,15 +537,21 @@ def run_suite(
     samples: int = 50,
     seed: int = 7,
     corrupt_fixture: bool = False,
+    timings: dict = None,
 ) -> dict:
-    """Run the battery; returns the report dict, one row per check in suite."""
+    """Run the battery; returns the report dict, one row per check in suite.
+    If timings is a dict, each row's wall seconds go into it by check name,
+    never into the report."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     ctx = Context(nmax=nmax, samples=samples, seed=seed, corrupt_fixture=corrupt_fixture)
     rows = []
     for check in CHECKS:
         if suite in ("all", check.suite):
+            start = time.perf_counter()
             passed, detail = check.run(ctx)
+            if timings is not None:
+                timings[check.name] = time.perf_counter() - start
             rows.append(
                 {"name": check.name, "paper_ref": check.statement, "pass": passed, "detail": detail})
     return {"suite": suite, "seed": seed, "nmax": nmax, "samples": samples, "checks": rows}

@@ -112,6 +112,29 @@ def test_verify_checks_out_path_before_the_battery(tmp_path, monkeypatch, capsys
     assert err.startswith("error: cannot write output file:") and err.count("\n") == 1
 
 
+def test_verify_checks_timings_path_before_the_battery(tmp_path, monkeypatch, capsys):
+    def battery(**kwargs):
+        raise AssertionError("the battery ran before --timings was checked")
+
+    monkeypatch.setattr(cli, "run_suite", battery)
+    assert cli.main(["verify", "--timings", str(tmp_path / "missing" / "t.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output file:") and captured.err.count("\n") == 1
+
+
+def test_verify_timings_go_to_the_file_only(tmp_path, capsys):
+    argv = ["verify", "--suite", "fibonacci", "--nmax", "4", "--samples", "2", "--seed", "3"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    path = tmp_path / "timings.json"
+    assert cli.main(argv + ["--timings", str(path)]) == 0
+    assert capsys.readouterr().out == plain
+    timings = json.loads(path.read_text())
+    assert list(timings) == [row["name"] for row in json.loads(plain)["checks"]]
+    assert all(isinstance(t, float) and t >= 0 for t in timings.values())
+
+
 def test_fib_flags_that_would_be_dropped_are_rejected(capsys):
     for argv in (
         ["fib", "--lemmas", "--n", "3"],

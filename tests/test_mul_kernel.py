@@ -8,6 +8,10 @@ earlier product, kept word for word: one `CycQ` multiply-add per nonzero term.
 `SymbolElement.reduced_norm` reads eta as the scalar z z* from products
 through the structure table.  `reference_reduced_norm` is the earlier
 hand-written cubic norm form, kept word for word.
+
+`MatK.__mul__`, `MatK.apply` and `_mixed_product` run over integer numerators
+too.  `reference_matmul`, `reference_dot`, `reference_apply` and
+`reference_mixed_product` are the earlier `CycQ` loops, kept word for word.
 """
 
 from fractions import Fraction
@@ -17,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 from symbol3.algebra import SymbolAlgebra, SymbolElement
 from symbol3.cyclotomic import CycQ, OMEGA, OMEGA_POW, ONE, ZERO
 from symbol3.fibonacci import fib_element
+from symbol3.fixtures import transcribed_reconstruction_frames
+from symbol3.representations import MatK, _mixed_product, gamma_mat, lambda_mat, reconstruction_frames
 from symbol3.verify import ALGEBRAS
 
 
@@ -133,3 +139,109 @@ def test_reduced_norm_matches_cubic_form_on_fixed_inputs():
     assert f.reduced_norm() == reference_reduced_norm(f)
     for z in ZERO_DIVISORS:
         assert z and z.reduced_norm() == reference_reduced_norm(z) == ZERO
+
+
+def reference_matmul(self, other: "MatK") -> "MatK":
+    if not isinstance(other, MatK):
+        return NotImplemented
+    cols = tuple(zip(*other.rows))
+    out = []
+    for row in self.rows:
+        out.append(
+            [reference_dot(row, col) for col in cols]
+        )
+    return MatK(out)
+
+
+def reference_apply(self, vec) -> tuple:
+    """Matrix-vector product, vec a 9-tuple of scalars."""
+    return tuple(reference_dot(row, vec) for row in self.rows)
+
+
+def reference_dot(u, v) -> CycQ:
+    acc = ZERO
+    for a, b in zip(u, v):
+        if a and b:
+            acc = acc + a * b
+    return acc
+
+
+def reference_mixed_product(left, mat: MatK, right, algebra: SymbolAlgebra) -> SymbolElement:
+    """sum_ij mat[i][j] * left_i * right_j for frames of (index, weight) pairs,
+    each monomial product read from the structure table."""
+    table = algebra.table()
+    out = [ZERO] * 9
+    for (l, weight_l), row in zip(left, mat.rows):
+        for (r, weight_r), s in zip(right, row):
+            if s:
+                scalar, index = table[l][r]
+                out[index] = out[index] + s * weight_l * weight_r * scalar
+    return algebra.element(out)
+
+
+def assert_matrix_kernels_match(m1, m2, vec):
+    assert m1 * m2 == reference_matmul(m1, m2)
+    assert m1.apply(vec) == reference_apply(m1, vec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_ALGEBRAS), coefficient_lists, coefficient_lists, coefficient_lists)
+def test_matrix_products_match_cycq_loops(algebra, left, right, vec):
+    z, w = algebra.element(left), algebra.element(right)
+    lam, gam = lambda_mat(z), gamma_mat(w)
+    assert_matrix_kernels_match(lam, gam, tuple(vec))
+    assert_matrix_kernels_match(gam, lam, tuple(vec))
+    assert_matrix_kernels_match(lam - gam, lam, z.coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(KERNEL_ALGEBRAS), st.integers(0, 8), scalars, coefficient_lists)
+def test_sparse_matrix_products_match_cycq_loops(algebra, index, coeff, right):
+    # Lambda of a basis monomial has one nonzero cell per row and column
+    mono = lambda_mat(algebra.monomial(index, coeff))
+    full = gamma_mat(algebra.element(right))
+    unit = tuple(ONE if k == index else ZERO for k in range(9))
+    for m1, m2 in ((mono, full), (full, mono), (mono, mono)):
+        assert_matrix_kernels_match(m1, m2, unit)
+    for m in (mono, full):
+        for special in (MatK.zero(), MatK.identity()):
+            assert_matrix_kernels_match(m, special, (ZERO,) * 9)
+            assert_matrix_kernels_match(special, m, tuple(right))
+        assert m * MatK.identity() == m == MatK.identity() * m
+        assert m * MatK.zero() == MatK.zero() == MatK.zero() * m
+
+
+def test_matrix_products_match_cycq_loops_on_large_denominators():
+    # the coefficients of F_300^-1 have denominators of hundreds of bits
+    f = fib_element(300)
+    g = f.inverse()
+    assert max(c.r.denominator.bit_length() for c in g.coeffs) > 200
+    lam, lam_inv = lambda_mat(f), lambda_mat(g)
+    assert_matrix_kernels_match(lam_inv, lam, f.coeffs)
+    assert_matrix_kernels_match(lam, lam_inv, g.coeffs)
+    assert_matrix_kernels_match(lam_inv, gamma_mat(g), g.coeffs)
+    assert lam_inv * lam == MatK.identity()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_ALGEBRAS), coefficient_lists)
+def test_mixed_products_match_cycq_loop(algebra, coeffs):
+    z = algebra.element(coeffs)
+    mats = (lambda_mat(z), gamma_mat(z).transpose())
+    # both reconstruction routes, and the row-weighted variant kept in fixtures
+    for frames in (reconstruction_frames(algebra), transcribed_reconstruction_frames(algebra)):
+        for (left, right), mat in zip(frames, mats):
+            assert _mixed_product(left, mat, right, algebra) == reference_mixed_product(left, mat, right, algebra)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(KERNEL_ALGEBRAS), st.integers(0, 8), scalars)
+def test_sparse_mixed_products_match_cycq_loop(algebra, index, coeff):
+    b = algebra.monomial(index, coeff)
+    mats = (lambda_mat(b), gamma_mat(b).transpose())
+    for frames in (reconstruction_frames(algebra), transcribed_reconstruction_frames(algebra)):
+        for (left, right), mat in zip(frames, mats):
+            assert _mixed_product(left, mat, right, algebra) == reference_mixed_product(left, mat, right, algebra)
+        left, right = frames[0]
+        for mat in (MatK.zero(), MatK.identity()):
+            assert _mixed_product(left, mat, right, algebra) == reference_mixed_product(left, mat, right, algebra)

@@ -1,5 +1,8 @@
 import itertools
+import operator
 import random
+
+import pytest
 
 from symbol3 import fixtures
 from symbol3.cyclotomic import CycQ, ONE, ZERO
@@ -55,6 +58,15 @@ def test_vector_representation_round_trip_and_action():
         assert algebra.element(vec_rep(z)) == z
         assert lambda_mat(z).apply(vec_rep(w)) == vec_rep(z * w)
         assert gamma_mat(z).apply(vec_rep(w)) == vec_rep(w * z)
+
+
+def test_matrix_arithmetic_rejects_other_operands():
+    # each operator returns NotImplemented, so Python raises TypeError
+    m = MatK.identity()
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((m, 1), (1, m)):
+            with pytest.raises(TypeError):
+                op(left, right)
 
 
 def test_det_examples():
