@@ -12,8 +12,9 @@ Multiplication comes from the closed-form rewriting rule
                          * x^((i+k) mod 3) y^((j+l) mod 3),
 
 never from a transcribed table.  SymbolAlgebra.table() is the only place that
-encodes these structure constants: the reduced norm eta, like pi and the
-adjoint, is read from element products (SymbolElement.characteristic).
+encodes these structure constants: pi and the adjoint are read from element
+products, and the reduced norm eta from the scalar terms of z z* through the
+same table (SymbolElement.characteristic).
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ class NotInvertible(ArithmeticError):
 
 EXPONENTS = ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 2), (2, 1), (1, 2))
 INDEX_OF = {e: k for k, e in enumerate(EXPONENTS)}
+# COMPLEMENT[k] is the basis monomial whose product with monomial k is a scalar
+# (x with x^2, xy with x^2y^2, ...).
+COMPLEMENT = tuple(INDEX_OF[(-i) % 3, (-j) % 3] for i, j in EXPONENTS)
 BASIS_NAMES = ("1", "x", "x^2", "y", "y^2", "x*y", "x^2*y^2", "x^2*y", "x*y^2")
 
 
@@ -241,14 +245,30 @@ class SymbolElement:
         return tau, pi, sq - self.scale(tau) + self.algebra.scalar(pi)
 
     def characteristic(self) -> tuple:
-        """(CharData(tau, pi, eta), z*) from one square and one product.
+        """(CharData(tau, pi, eta), z*) from one square and nine term products.
 
         By Cayley-Hamilton z z* = eta(z), so eta is the scalar coefficient of
-        z z*; the cube of eta equals det of the left representation, which
-        the verification suite checks independently.
+        z z*, which only the products c_k z*_COMPLEMENT[k] reach; the cube of
+        eta equals det of the left representation, which the verification
+        suite checks independently.
         """
         tau, pi, adj = self._from_square()
-        return CharData(tau, pi, (self * adj).coeffs[0]), adj
+        # the scalar row of the product kernel in __mul__
+        den, table = self.algebra._integer_table()
+        d1, left = numerators(self.coeffs)
+        d2, right = numerators(adj.coeffs)
+        eta_r = eta_s = 0
+        for (p1, q1), k, row in zip(left, COMPLEMENT, table):
+            p2, q2 = right[k]
+            tr, ts, _ = row[k]
+            cross = q1 * q2
+            u = p1 * p2 - cross
+            v = p1 * q2 + q1 * p2 - cross
+            cross = v * ts
+            eta_r += u * tr - cross
+            eta_s += u * ts + v * tr - cross
+        (eta,) = from_numerators(d1 * d2 * den, (eta_r,), (eta_s,))
+        return CharData(tau, pi, eta), adj
 
     def pi_form(self) -> CycQ:
         """pi(z) = (tau(z)^2 - tau(z^2)) / 2."""

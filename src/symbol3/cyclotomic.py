@@ -68,9 +68,10 @@ class CycQ:
     __slots__ = ("r", "s")
 
     def __init__(self, r=0, s=0):
-        # Fraction normalizes: lowest terms, positive denominator.
-        self.r = Fraction(r)
-        self.s = Fraction(s)
+        # A Fraction from arithmetic is already in lowest terms with a positive
+        # denominator, so only an int (or bool) is converted.
+        self.r = r if type(r) is Fraction else _as_fraction(r)
+        self.s = s if type(s) is Fraction else _as_fraction(s)
 
     @classmethod
     def parse(cls, text: str) -> "CycQ":
@@ -102,6 +103,9 @@ class CycQ:
         return self.r == other.r and self.s == other.s
 
     def __hash__(self):
+        # a rational value hashes like the int or Fraction it compares equal to
+        if not self.s:
+            return hash(self.r)
         return hash((self.r, self.s))
 
     def __bool__(self) -> bool:
@@ -187,6 +191,12 @@ class CycQ:
 
     def is_rational(self) -> bool:
         return self.s == 0
+
+
+def _as_fraction(value) -> Fraction:
+    if isinstance(value, _RATIONAL_TYPES):
+        return Fraction(value)
+    raise TypeError(f"a part of a CycQ must be an int or a Fraction, not {type(value).__name__}")
 
 
 def _coerce(value) -> "CycQ":

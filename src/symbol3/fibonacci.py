@@ -499,7 +499,10 @@ def run_lemma_suite(nmax: int = 30) -> list:
     Each row reports whether the candidate right side matches the exact left
     side, and, when a corrected variant is stored, whether that one does.
     Every block is evaluated once per n; a left side sums its table entries.
+    Raises ValueError for nmax < 1, which would audit no case at all.
     """
+    if nmax < 1:
+        raise ValueError("the lemma suite needs nmax >= 1")
     tables = [{name: block_sum(n, (name,)) for name in BLOCKS} for n in range(1, nmax + 1)]
     rows = []
     for lemma in LEMMAS:

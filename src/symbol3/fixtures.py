@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import re
 
-from .algebra import SymbolAlgebra, SymbolElement
+from .algebra import COMPLEMENT, SymbolAlgebra, SymbolElement
 from .cyclotomic import CycQ, OMEGA_POW, ONE, ZERO
-from .representations import _COMPLEMENT, MatK, _frame_weights, gamma_mat, lambda_mat
+from .representations import MatK, _frame_weights, gamma_mat, lambda_mat
 
 _CELL_RE = re.compile(r"^(a)?(b)?(w2|w)?(?:c([0-8])|(1))?$")
 
@@ -258,7 +258,7 @@ def transcribed_reconstruction_frames(algebra: SymbolAlgebra):
     reconstruct)."""
     weights = _frame_weights(algebra)
     m9 = tuple((k, weights[k]) for k in range(9))
-    n9 = tuple((k, ONE) for k in _COMPLEMENT)
-    m10 = tuple(m9[k] for k in _COMPLEMENT)
+    n9 = tuple((k, ONE) for k in COMPLEMENT)
+    m10 = tuple(m9[k] for k in COMPLEMENT)
     n10 = tuple((k, ONE) for k in range(9))
     return (m9, n9), (m10, n10)

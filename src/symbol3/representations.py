@@ -14,7 +14,7 @@ from which kernel_basis and solve_affine read the solution set.
 
 from __future__ import annotations
 
-from .algebra import SymbolAlgebra, SymbolElement
+from .algebra import COMPLEMENT, SymbolAlgebra, SymbolElement
 from .cyclotomic import CycQ, ONE, ZERO, from_numerators, numerators
 
 
@@ -196,11 +196,6 @@ def solve_affine(m: MatK, rhs):
     return tuple(particular), kernel
 
 
-# Complementary ordering: position k holds the monomial whose product with
-# basis monomial k is a scalar (x with x^2, xy with x^2y^2, ...).
-_COMPLEMENT = (0, 2, 1, 4, 3, 6, 5, 8, 7)
-
-
 def _frame_weights(algebra: SymbolAlgebra):
     inv_a = algebra.a.inverse()
     inv_b = algebra.b.inverse()
@@ -221,7 +216,7 @@ def reconstruction_frames(algebra: SymbolAlgebra):
     """
     weights = _frame_weights(algebra)
     basis = tuple((k, ONE) for k in range(9))
-    comp = tuple((k, weights[k]) for k in _COMPLEMENT)
+    comp = tuple((k, weights[k]) for k in COMPLEMENT)
     return (basis, comp), (comp, basis)
 
 

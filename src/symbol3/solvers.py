@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .algebra import SymbolAlgebra, SymbolElement
 from .cyclotomic import ZERO
@@ -42,12 +42,11 @@ class Verdict(enum.Enum):
     NO_SOLUTION = "NoSolution"
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(NamedTuple):
     particular: SymbolElement | None
     kernel: tuple
     verdict: Verdict
-    notes: tuple = field(default_factory=tuple)
+    notes: tuple = ()
 
     def contains(self, z: SymbolElement) -> bool:
         """True iff z solves the equation: z - particular lies in the kernel span."""
@@ -91,7 +90,7 @@ def solve_intertwine(a: SymbolElement, b: SymbolElement) -> SolutionSet:
         "invertible kernel element found; necessary condition "
         f"tau(A)=tau(B), eta(A)=eta(B): {'holds' if cond else 'VIOLATED'}"
     )
-    return replace(sol, notes=(note,))
+    return sol._replace(notes=(note,))
 
 
 def _solve_linear(a: SymbolElement, b: SymbolElement, c: SymbolElement) -> SolutionSet:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import islice
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -318,27 +317,35 @@ class Context:
         return random.Random(f"{self.seed}:{name}")
 
 
-@dataclass
 class Check:
     """One battery row; run(ctx) returns (passed, detail).  A row without its
     own run tallies body(ctx.rng(stream), *args), or body(*args) if stream is
     None, where a str in args names a Context attribute; its detail formats
     `detail`, or `detail_passed` if set and the row passed, with the fields
-    checked, failures and nmax."""
+    checked, failures and nmax.  run is an instance attribute, so a tracer can
+    wrap one row's run."""
 
-    name: str
-    statement: str
-    suite: str
-    run: Callable = None
-    body: Callable = None
-    stream: str = None
-    args: tuple = ("samples",)
-    detail: str = ""
-    detail_passed: str = None
-
-    def __post_init__(self):
-        if self.run is None:
-            self.run = self._tally
+    def __init__(
+        self,
+        name: str,
+        statement: str,
+        suite: str,
+        run: Callable = None,
+        body: Callable = None,
+        stream: str = None,
+        args: tuple = ("samples",),
+        detail: str = "",
+        detail_passed: str = None,
+    ):
+        self.name = name
+        self.statement = statement
+        self.suite = suite
+        self.run = self._tally if run is None else run
+        self.body = body
+        self.stream = stream
+        self.args = args
+        self.detail = detail
+        self.detail_passed = detail_passed
 
     def _tally(self, ctx: Context) -> tuple:
         args = [getattr(ctx, a) if isinstance(a, str) else a for a in self.args]

@@ -313,3 +313,10 @@ def test_verify_negative_control():
     report = json.loads(proc.stdout)
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
     assert failed == ["fixture_tables"]
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # every CLI call pays for the modules `import symbol3.cli` pulls in
+    code = "import sys, symbol3.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -157,3 +158,25 @@ def test_grammar_accepts(text):
 def test_grammar_rejects(text):
     with pytest.raises((ScalarFormatError, ZeroDivisionError)):
         CycQ.parse(text)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, "1/3", "1", Decimal("0.1"), Decimal(1), None])
+def test_constructor_takes_only_exact_rationals(value):
+    with pytest.raises(TypeError):
+        CycQ(value)
+    with pytest.raises(TypeError):
+        CycQ(0, value)
+
+
+def test_constructor_converts_ints_and_bools():
+    for value in (CycQ(True, False), CycQ(3, -2), CycQ(Fraction(6, 4))):
+        assert type(value.r) is Fraction and type(value.s) is Fraction
+    assert CycQ(True, False) == ONE and CycQ(Fraction(6, 4)).r == Fraction(3, 2)
+
+
+@given(rationals)
+def test_rational_values_hash_like_the_rationals_they_equal(r):
+    q = CycQ(r)
+    assert q == r and hash(q) == hash(r) and len({q, r}) == 1
+    if r.denominator == 1:
+        assert q == r.numerator and len({q, r.numerator}) == 1

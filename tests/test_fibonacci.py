@@ -188,6 +188,12 @@ def test_lemma_suite_statuses_are_frozen():
         assert r["candidate_ok"] or r["verified_ok"], r
 
 
+@pytest.mark.parametrize("nmax", [0, -1])
+def test_lemma_suite_rejects_an_empty_range(nmax):
+    with pytest.raises(ValueError):
+        run_lemma_suite(nmax)
+
+
 def test_every_failing_lemma_has_a_corrected_form():
     rows = run_lemma_suite(10)
     assert [r["name"] for r in rows] == [lemma.name for lemma in LEMMAS]

@@ -12,8 +12,15 @@ hand-written cubic norm form, kept word for word.
 `MatK.__mul__`, `MatK.apply` and `_mixed_product` run over integer numerators
 too.  `reference_matmul`, `reference_dot`, `reference_apply` and
 `reference_mixed_product` are the earlier `CycQ` loops, kept word for word.
+
+`CycQ.__init__` keeps a `Fraction` argument as it is, since arithmetic results
+are already in lowest terms.  `ReferenceCycQ` is the earlier scalar, which
+passed every part through `Fraction(...)` again; its `__init__`, `__add__`,
+`__sub__`, `__mul__`, `__neg__`, `conj` and `inverse` are kept word for word,
+with the class renamed.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -245,3 +252,114 @@ def test_sparse_mixed_products_match_cycq_loop(algebra, index, coeff):
         left, right = frames[0]
         for mat in (MatK.zero(), MatK.identity()):
             assert _mixed_product(left, mat, right, algebra) == reference_mixed_product(left, mat, right, algebra)
+
+
+class ReferenceCycQ:
+    __slots__ = ("r", "s")
+
+    def __init__(self, r=0, s=0):
+        # Fraction normalizes: lowest terms, positive denominator.
+        self.r = Fraction(r)
+        self.s = Fraction(s)
+
+    def __add__(self, other) -> "ReferenceCycQ":
+        if type(other) is int:
+            return ReferenceCycQ(self.r + other, self.s)
+        other = _reference_coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return ReferenceCycQ(self.r + other.r, self.s + other.s)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "ReferenceCycQ":
+        other = _reference_coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return ReferenceCycQ(self.r - other.r, self.s - other.s)
+
+    def __neg__(self) -> "ReferenceCycQ":
+        return ReferenceCycQ(-self.r, -self.s)
+
+    def __mul__(self, other) -> "ReferenceCycQ":
+        if type(other) is int:
+            return ReferenceCycQ(self.r * other, self.s * other)
+        other = _reference_coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        # (r1 + s1 w)(r2 + s2 w) with w^2 = -1 - w.
+        r1, s1, r2, s2 = self.r, self.s, other.r, other.s
+        cross = s1 * s2
+        return ReferenceCycQ(r1 * r2 - cross, r1 * s2 + s1 * r2 - cross)
+
+    __rmul__ = __mul__
+
+    def conj(self) -> "ReferenceCycQ":
+        """Galois conjugate w -> w^2, i.e. r + s*w -> (r - s) - s*w."""
+        return ReferenceCycQ(self.r - self.s, -self.s)
+
+    def norm_rational(self):
+        """u * conj(u) = r^2 - r*s + s^2, a nonnegative rational."""
+        return self.r * self.r - self.r * self.s + self.s * self.s
+
+    def inverse(self) -> "ReferenceCycQ":
+        n = self.norm_rational()
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero in Q(w)")
+        c = self.conj()
+        return ReferenceCycQ(c.r / n, c.s / n)
+
+
+def _reference_coerce(value) -> "ReferenceCycQ":
+    if isinstance(value, ReferenceCycQ):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return ReferenceCycQ(value)
+    return NotImplemented
+
+
+def assert_same_scalar(got, want):
+    assert type(got) is CycQ
+    assert (got.r, got.s) == (want.r, want.s)
+    for part in (got.r, got.s):
+        assert type(part) is Fraction
+        assert part.denominator > 0 and math.gcd(part.numerator, part.denominator) == 1
+
+
+# small, and up to 5000 decimal digits in each numerator and denominator
+digit_counts = st.sampled_from((1, 3, 40, 5000))
+wide_ints = digit_counts.flatmap(lambda k: st.integers(-(10**k), 10**k))
+wide_rationals = st.builds(Fraction, wide_ints, wide_ints.filter(bool))
+right_operands = st.one_of(st.booleans(), wide_ints, wide_rationals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_rationals, wide_rationals, wide_rationals, wide_rationals)
+def test_scalar_arithmetic_matches_the_normalising_constructor(r1, s1, r2, s2):
+    x, y = CycQ(r1, s1), CycQ(r2, s2)
+    rx, ry = ReferenceCycQ(r1, s1), ReferenceCycQ(r2, s2)
+    assert_same_scalar(x + y, rx + ry)
+    assert_same_scalar(x - y, rx - ry)
+    assert_same_scalar(x * y, rx * ry)
+    assert_same_scalar(-x, -rx)
+    assert_same_scalar(x.conj(), rx.conj())
+    if y:
+        assert_same_scalar(y.inverse(), ry.inverse())
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_rationals, wide_rationals, right_operands)
+def test_scalar_arithmetic_with_rational_operands_matches(r, s, k):
+    x, rx = CycQ(r, s), ReferenceCycQ(r, s)
+    assert_same_scalar(x + k, rx + k)
+    assert_same_scalar(k + x, k + rx)
+    assert_same_scalar(x - k, rx - k)
+    assert_same_scalar(x * k, rx * k)
+    assert_same_scalar(k * x, k * rx)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_ALGEBRAS), coefficient_lists)
+def test_eta_is_the_scalar_coefficient_of_z_times_its_adjoint(algebra, coeffs):
+    z = algebra.element(coeffs)
+    assert z.char_poly().eta == (z * z.adjoint()).coeffs[0]
