@@ -6,10 +6,11 @@ generated from multiplication; transcribed tables exist only as diagnostic
 fixtures (see fixtures.py).  Matrix products, apply and the reconstruction
 product run over integer numerators, like the element product: each operand is
 written over its least common denominator, the sums stay in ints, and each
-output is normalised once (_products, _mixed_product).  Elimination is exact
-Gaussian elimination over Q(w), and one forward elimination, _echelon, does it:
-det reads the signed pivot product, and _rref adds one back-substitution pass,
-from which kernel_basis and solve_affine read the solution set.
+output is normalised once (_products, _mixed_product).  det is fraction-free
+(Bareiss) elimination over Z[w] on the same integer numerators, so every
+division in it is exact.  kernel_basis and solve_affine read the solution set
+from _rref, exact Gaussian elimination over Q(w): the forward pass _echelon
+and one back-substitution pass.
 """
 
 from __future__ import annotations
@@ -128,10 +129,10 @@ def vec_rep(z: SymbolElement) -> tuple:
 
 
 def _echelon(rows):
-    """In-place forward elimination to row echelon form, pivoting on the first
-    nonzero entry of each column; returns (pivot columns, signed pivot product)."""
+    """The forward pass of _rref: in-place elimination to row echelon form,
+    pivoting on the first nonzero entry of each column; returns the list of
+    pivot columns."""
     pivots = []
-    product = ONE
     for col in range(len(rows[0])):
         r = len(pivots)
         if r == len(rows):
@@ -141,27 +142,63 @@ def _echelon(rows):
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            product = -product
-        pval = rows[r][col]
-        product = product * pval
-        inv = pval.inverse()
+        inv = rows[r][col].inverse()
         for i in range(r + 1, len(rows)):
             if rows[i][col]:
                 factor = rows[i][col] * inv
                 rows[i] = [u - factor * v if v else u for u, v in zip(rows[i], rows[r])]
         pivots.append(col)
-    return pivots, product
+    return pivots
 
 
 def det(m: MatK) -> CycQ:
-    """Exact determinant: the signed pivot product, or zero without 9 pivots."""
-    pivots, product = _echelon([list(r) for r in m.rows])
-    return product if len(pivots) == 9 else ZERO
+    """Exact determinant by fraction-free (Bareiss) elimination over Z[w].
+
+    Each row is written as integer numerators p + q*w over its own least
+    common denominator.  Pivoting on the first nonzero entry of each column,
+    every row below the pivot becomes (pivot * row - lead * pivot_row) / prev,
+    prev the previous pivot.  That division is exact in Z[w] (Sylvester's
+    identity), so it is x * conj(prev) // N(prev), N(c + d w) = c^2 - cd + d^2.
+    The last pivot, signed by the row swaps, is the determinant of the
+    numerators; a column with no pivot means zero."""
+    den = 1
+    rows = []
+    for row in m.rows:
+        d, nums = numerators(row)
+        den *= d
+        rows.append(nums)
+    sign = 1
+    cr, cs, norm = 1, 0, 1  # conj(prev) and N(prev); prev = 1 to start
+    for k in range(9):
+        pivot = next((i for i in range(k, 9) if rows[i][k] != (0, 0)), None)
+        if pivot is None:
+            return ZERO
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k][k + 1:]
+        p, q = rows[k][k]
+        for i in range(k + 1, 9):
+            row = rows[i]
+            lp, lq = row[k]
+            new = [None] * (k + 1)  # columns up to k are not read again
+            for (a, b), (c, d) in zip(row[k + 1:], top):
+                # (p + q w)(a + b w) - (lp + lq w)(c + d w), using w^2 = -1 - w
+                qb, lqd = q * b, lq * d
+                xr = p * a - qb - lp * c + lqd
+                xs = p * b + q * a - qb - lp * d - lq * c + lqd
+                # times conj(prev), then exactly divided by N(prev)
+                xsc = xs * cs
+                new.append(((xr * cr - xsc) // norm, (xr * cs + xs * cr - xsc) // norm))
+            rows[i] = new
+        cr, cs, norm = p - q, -q, p * p - p * q + q * q
+    r, s = rows[8][8]
+    return from_numerators(den, [sign * r], [sign * s])[0]
 
 
 def _rref(rows):
     """In-place reduced row echelon form; returns the list of pivot columns."""
-    pivots, _ = _echelon(rows)
+    pivots = _echelon(rows)
     for r in reversed(range(len(pivots))):
         inv = rows[r][pivots[r]].inverse()
         rows[r] = [v * inv if v else v for v in rows[r]]

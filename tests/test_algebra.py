@@ -156,6 +156,22 @@ def test_twist():
         z.twist(3)
 
 
+def test_twist_is_conjugation_by_a_power_of_x():
+    # x y x^-1 = w^2 y and x x x^-1 = x, so conjugation by x scales the
+    # y-degree-j block by w^(2j), which is twist(2), and conjugation by x^2 is
+    # twist(1).  Both sides are K-linear in z, so the 9 basis monomials prove
+    # it for every element of these algebras.  Lambda(twist(k) z) is then a
+    # conjugate of Lambda(z), and det Lambda, det Gamma and eta are
+    # twist-invariant at these (a, b), not only at a = b = 1.
+    for algebra in ALGEBRAS + (SymbolAlgebra(CycQ(2), CycQ(5)),):
+        x = algebra.x()
+        x2 = x * x
+        for k in range(9):
+            b = algebra.monomial(k)
+            assert b.twist(1) == x2 * b * x2.inverse()
+            assert b.twist(2) == x * b * x.inverse()
+
+
 def test_twist_touches_the_y_degree_blocks():
     z = UNIT.element([1, 1, 1, 1, 1, 1, 1, 1, 1])
     t = z.twist(1)

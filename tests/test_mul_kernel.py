@@ -13,6 +13,11 @@ hand-written cubic norm form, kept word for word.
 too.  `reference_matmul`, `reference_dot`, `reference_apply` and
 `reference_mixed_product` are the earlier `CycQ` loops, kept word for word.
 
+`det` is fraction-free (Bareiss) elimination over Z[w] on integer numerators.
+`reference_echelon` and `reference_det` are the earlier Gaussian elimination
+over Q(w) that read the determinant as the signed pivot product, kept word for
+word, with the call renamed.
+
 `CycQ.__init__` keeps a `Fraction` argument as it is, since arithmetic results
 are already in lowest terms.  `ReferenceCycQ` is the earlier scalar, which
 passed every part through `Fraction(...)` again; its `__init__`, `__add__`,
@@ -21,6 +26,7 @@ with the class renamed.
 """
 
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -29,7 +35,7 @@ from symbol3.algebra import SymbolAlgebra, SymbolElement
 from symbol3.cyclotomic import CycQ, OMEGA, OMEGA_POW, ONE, ZERO
 from symbol3.fibonacci import fib_element
 from symbol3.fixtures import transcribed_reconstruction_frames
-from symbol3.representations import MatK, _mixed_product, gamma_mat, lambda_mat, reconstruction_frames
+from symbol3.representations import MatK, _mixed_product, det, gamma_mat, lambda_mat, reconstruction_frames
 from symbol3.verify import ALGEBRAS
 
 
@@ -363,3 +369,92 @@ def test_scalar_arithmetic_with_rational_operands_matches(r, s, k):
 def test_eta_is_the_scalar_coefficient_of_z_times_its_adjoint(algebra, coeffs):
     z = algebra.element(coeffs)
     assert z.char_poly().eta == (z * z.adjoint()).coeffs[0]
+
+
+def reference_echelon(rows):
+    """In-place forward elimination to row echelon form, pivoting on the first
+    nonzero entry of each column; returns (pivot columns, signed pivot product)."""
+    pivots = []
+    product = ONE
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            product = -product
+        pval = rows[r][col]
+        product = product * pval
+        inv = pval.inverse()
+        for i in range(r + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col] * inv
+                rows[i] = [u - factor * v if v else u for u, v in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots, product
+
+
+def reference_det(m: MatK) -> CycQ:
+    """Exact determinant: the signed pivot product, or zero without 9 pivots."""
+    pivots, product = reference_echelon([list(r) for r in m.rows])
+    return product if len(pivots) == 9 else ZERO
+
+
+def assert_det_matches(m):
+    got = det(m)
+    assert_same_scalar(got, reference_det(m))
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_ALGEBRAS), coefficient_lists, coefficient_lists)
+def test_det_matches_gaussian_elimination(algebra, left, right):
+    a, b = algebra.element(left), algebra.element(right)
+    assert_det_matches(lambda_mat(a))
+    assert_det_matches(gamma_mat(a))
+    assert_det_matches(lambda_mat(a) - gamma_mat(b))
+    # A commutes with itself, so this one is singular
+    assert assert_det_matches(lambda_mat(a) - gamma_mat(a)) == ZERO
+    # equal constant terms put a zero at the first pivot, so the elimination swaps rows
+    swapping = lambda_mat(a) - gamma_mat(a + algebra.x())
+    assert swapping[0, 0] == ZERO
+    assert_det_matches(swapping)
+
+
+matrix_rows = st.lists(coefficient_lists, min_size=9, max_size=9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrix_rows)
+def test_det_matches_gaussian_elimination_on_dense_matrices(rows):
+    assert_det_matches(MatK(rows))
+    repeated = rows[:5] + [rows[2]] + rows[6:]
+    assert assert_det_matches(MatK(repeated)) == ZERO
+    zero_first_column = [[ZERO] + row[1:] for row in rows]
+    assert assert_det_matches(MatK(zero_first_column)) == ZERO
+
+
+def _zw_matrix(first):
+    """A fixed invertible 9x9 matrix over Z[w] with the given top-left entry;
+    every leading minor is nonzero, so no step pivots on a later row."""
+    rng = random.Random(20)
+    rows = [[CycQ(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(9)] for _ in range(9)]
+    rows[0][0] = first
+    return MatK(rows)
+
+
+def test_det_matches_gaussian_elimination_on_fixed_inputs():
+    assert assert_det_matches(MatK.zero()) == ZERO
+    assert assert_det_matches(MatK.identity()) == ONE
+    # the coefficients of F_300^-1 have denominators of hundreds of bits
+    f = fib_element(300)
+    assert assert_det_matches(lambda_mat(f.inverse())) == f.reduced_norm().inverse() ** 3
+    # pivots of norm 3, such as 1 - w, make the exact divisions non-trivial
+    one_minus_w = ONE - OMEGA
+    assert one_minus_w.norm_rational() == 3
+    assert assert_det_matches(_zw_matrix(one_minus_w))
+    # a unit but non-rational first pivot: dividing by it needs its conjugate
+    assert assert_det_matches(_zw_matrix(OMEGA))
