@@ -9,13 +9,13 @@ representation determinant): at a = b = 1, with u = f_{n+1}, v = f_n,
              = f_{n+2} h_{2n}^{987,1859} + f_{n+3} h_{2n}^{1627,3075}
                + f_n^2 h_{n+3}^{599,1004} + (-1)^n h_{n+3}^{251,382},
 
-a purely rational value.  The candidate constant set this module also retains
-(closed_form_norm_candidate) carries a nonzero w-block and different rational
-constants; it does not match the oracle and is kept only so the audit suite
-can demonstrate the disagreement.  LEMMAS below audits the whole derivation
-chain the same way: the left side of every intermediate cubic-sum identity is
-a sum of the blocks named in BLOCKS, and its right side is stored in
-candidate form and, where that fails, in a verified corrected form.
+a purely rational value.  The candidate form closed_form_norm_candidate, the
+sum of two candidate lemma sides in LEMMAS, carries a nonzero w-block and
+different rational constants; it is kept only so the audit suite can show
+that it fails the oracle.  LEMMAS below audits the whole derivation chain the
+same way: the left side of every intermediate cubic-sum identity is a sum of
+the blocks named in BLOCKS, and its right side is stored in candidate form
+and, where that fails, in a verified corrected form.
 """
 
 from __future__ import annotations
@@ -143,17 +143,13 @@ def _omega_pair(n_idx: int, wp: int, wq: int, rp: int, rq: int) -> CycQ:
 
 
 def closed_form_norm_candidate(n: int) -> CycQ:
-    """Candidate constant set for eta(F_n); retained for the audit suite only.
+    """Candidate closed form for eta(F_n); retained for the audit suite only.
 
-    Disagrees with the oracle (already at n = 0) and carries a spurious
+    The sum of the candidate sides of the mid-ten and outer-block lemmas, so
+    it disagrees with the oracle (already at n = 0) and carries a spurious
     w-block; see the norm-audit table in the README.
     """
-    return (
-        fib(n + 2) * _omega_pair(2 * n, 30766, 27923, 26822, 27753)
-        + fib(n + 3) * _omega_pair(2 * n, 4368, 1453, 19120, 20203)
-        - fib(n) ** 2 * _omega_pair(n + 3, 45013, 22563, 33835, 27659)
-        + (-1) ** (n + 1) * _omega_pair(n + 3, 1472, 26448, 12982, 24138)
-    )
+    return _LEMMA["mid_ten_sum_horadam"].candidate(n) + _LEMMA["outer_blocks_sum"].candidate(n)
 
 
 def general_a_norm_candidate(n: int, a) -> CycQ:

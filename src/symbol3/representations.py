@@ -9,8 +9,7 @@ written over its least common denominator, the sums stay in ints, and each
 output is normalised once (_products, _mixed_product).  det is fraction-free
 (Bareiss) elimination over Z[w] on the same integer numerators, so every
 division in it is exact.  kernel_basis and solve_affine read the solution set
-from _rref, exact Gaussian elimination over Q(w): the forward pass _echelon
-and one back-substitution pass.
+from _rref, exact Gauss-Jordan elimination over Q(w).
 """
 
 from __future__ import annotations
@@ -128,29 +127,6 @@ def vec_rep(z: SymbolElement) -> tuple:
     return z.coeffs
 
 
-def _echelon(rows):
-    """The forward pass of _rref: in-place elimination to row echelon form,
-    pivoting on the first nonzero entry of each column; returns the list of
-    pivot columns."""
-    pivots = []
-    for col in range(len(rows[0])):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        for i in range(r + 1, len(rows)):
-            if rows[i][col]:
-                factor = rows[i][col] * inv
-                rows[i] = [u - factor * v if v else u for u, v in zip(rows[i], rows[r])]
-        pivots.append(col)
-    return pivots
-
-
 def det(m: MatK) -> CycQ:
     """Exact determinant by fraction-free (Bareiss) elimination over Z[w].
 
@@ -197,10 +173,28 @@ def det(m: MatK) -> CycQ:
 
 
 def _rref(rows):
-    """In-place reduced row echelon form; returns the list of pivot columns."""
-    pivots = _echelon(rows)
+    """In-place reduced row echelon form, pivoting on the first nonzero entry
+    of each column; returns the list of pivot columns.  The backward pass
+    scales each pivot row by the inverse the forward pass took."""
+    pivots, inverses = [], []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][col].inverse()
+        for i in range(r + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col] * inv
+                rows[i] = [u - factor * v if v else u for u, v in zip(rows[i], rows[r])]
+        pivots.append(col)
+        inverses.append(inv)
     for r in reversed(range(len(pivots))):
-        inv = rows[r][pivots[r]].inverse()
+        inv = inverses[r]
         rows[r] = [v * inv if v else v for v in rows[r]]
         for i in range(r):
             factor = rows[i][pivots[r]]

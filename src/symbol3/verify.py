@@ -358,15 +358,13 @@ class Check:
 
 def _check_twist_probe(ctx: Context):
     rng = ctx.rng("twist_probe")
-    held = 0
-    total = 0
-    for algebra in ALGEBRAS[1:]:
-        for _ in range(ctx.capped_samples):
-            z = random_element(rng, algebra)
-            total += 1
-            if det(lambda_mat(z.twist(1))) == det(lambda_mat(z)):
-                held += 1
-    return True, f"informational probe at non-unit parameters: held on {held}/{total} samples (not asserted)"
+    probe = tally(
+        det(lambda_mat(z.twist(1))) == det(lambda_mat(z))
+        for algebra in ALGEBRAS[1:]
+        for z in (random_element(rng, algebra) for _ in range(ctx.capped_samples))
+    )
+    held = probe.checked - probe.failures
+    return True, f"informational probe at non-unit parameters: held on {held}/{probe.checked} samples (not asserted)"
 
 
 def _check_reconstruction_variant(ctx: Context):

@@ -12,6 +12,7 @@ from symbol3.fibonacci import (
     MID_TEN,
     UNIT_ALGEBRA,
     UnsupportedParams,
+    _omega_pair,
     block_sum,
     closed_form_norm,
     closed_form_norm_candidate,
@@ -153,6 +154,26 @@ def test_candidate_closed_form_disagrees():
     # frozen evaluation of the candidate constants at n = 0
     assert closed_form_norm_candidate(0) == CycQ(3804, -14866)
     assert closed_form_norm_candidate(0) != closed_form_norm(0)
+
+
+def reference_closed_form_norm_candidate(n: int) -> CycQ:
+    """Candidate constant set for eta(F_n); retained for the audit suite only.
+
+    Disagrees with the oracle (already at n = 0) and carries a spurious
+    w-block; see the norm-audit table in the README.
+    """
+    return (
+        fib(n + 2) * _omega_pair(2 * n, 30766, 27923, 26822, 27753)
+        + fib(n + 3) * _omega_pair(2 * n, 4368, 1453, 19120, 20203)
+        - fib(n) ** 2 * _omega_pair(n + 3, 45013, 22563, 33835, 27659)
+        + (-1) ** (n + 1) * _omega_pair(n + 3, 1472, 26448, 12982, 24138)
+    )
+
+
+def test_candidate_closed_form_is_the_sum_of_its_lemma_sides():
+    # the earlier 16-constant form, kept word for word above
+    for n in range(201):
+        assert closed_form_norm_candidate(n) == reference_closed_form_norm_candidate(n)
 
 
 def test_general_a_norm():

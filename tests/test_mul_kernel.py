@@ -18,6 +18,11 @@ too.  `reference_matmul`, `reference_dot`, `reference_apply` and
 over Q(w) that read the determinant as the signed pivot product, kept word for
 word, with the call renamed.
 
+`_rref` runs its forward pass inline and reuses each pivot's inverse in the
+backward pass.  `reference_rref_echelon` and `reference_rref` are the earlier
+separate forward pass and the `_rref` that called it and inverted each pivot
+again, kept word for word, with the calls renamed.
+
 `CycQ.__init__` keeps a `Fraction` argument as it is, since arithmetic results
 are already in lowest terms.  `ReferenceCycQ` is the earlier scalar, which
 passed every part through `Fraction(...)` again; its `__init__`, `__add__`,
@@ -35,7 +40,7 @@ from symbol3.algebra import SymbolAlgebra, SymbolElement
 from symbol3.cyclotomic import CycQ, OMEGA, OMEGA_POW, ONE, ZERO
 from symbol3.fibonacci import fib_element
 from symbol3.fixtures import transcribed_reconstruction_frames
-from symbol3.representations import MatK, _mixed_product, det, gamma_mat, lambda_mat, reconstruction_frames
+from symbol3.representations import MatK, _mixed_product, _rref, det, gamma_mat, lambda_mat, reconstruction_frames
 from symbol3.verify import ALGEBRAS
 
 
@@ -458,3 +463,87 @@ def test_det_matches_gaussian_elimination_on_fixed_inputs():
     assert assert_det_matches(_zw_matrix(one_minus_w))
     # a unit but non-rational first pivot: dividing by it needs its conjugate
     assert assert_det_matches(_zw_matrix(OMEGA))
+
+
+def reference_rref_echelon(rows):
+    """The forward pass of _rref: in-place elimination to row echelon form,
+    pivoting on the first nonzero entry of each column; returns the list of
+    pivot columns."""
+    pivots = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][col].inverse()
+        for i in range(r + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col] * inv
+                rows[i] = [u - factor * v if v else u for u, v in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
+def reference_rref(rows):
+    """In-place reduced row echelon form; returns the list of pivot columns."""
+    pivots = reference_rref_echelon(rows)
+    for r in reversed(range(len(pivots))):
+        inv = rows[r][pivots[r]].inverse()
+        rows[r] = [v * inv if v else v for v in rows[r]]
+        for i in range(r):
+            factor = rows[i][pivots[r]]
+            if factor:
+                rows[i] = [u - factor * v if v else u for u, v in zip(rows[i], rows[r])]
+    return pivots
+
+
+def assert_rref_matches(m, rhs):
+    """Reduce m | rhs both ways; the pivots and every cell must agree exactly.
+    Returns the pivot columns."""
+    got = [list(row) + [b] for row, b in zip(m.rows, rhs)]
+    want = [list(row) + [b] for row, b in zip(m.rows, rhs)]
+    pivots = _rref(got)
+    assert pivots == reference_rref(want)
+    for got_row, want_row in zip(got, want):
+        for g, w in zip(got_row, want_row):
+            assert_same_scalar(g, w)
+    return pivots
+
+
+UNIT_VECTORS = [tuple(ONE if i == k else ZERO for i in range(9)) for k in range(9)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(KERNEL_ALGEBRAS), coefficient_lists, coefficient_lists, coefficient_lists)
+def test_rref_matches_separate_forward_pass(algebra, left, right, rhs):
+    a, b = algebra.element(left), algebra.element(right)
+    assert_rref_matches(lambda_mat(a) - gamma_mat(b), rhs)
+    # A commutes with itself, so this system is singular.  Its image holds only
+    # commutators, whose reduced trace is 0, so vec(1) is an inconsistent right side.
+    singular = lambda_mat(a) - gamma_mat(a)
+    assert_rref_matches(singular, rhs)
+    assert 9 not in assert_rref_matches(singular, singular.apply(rhs))
+    assert 9 in assert_rref_matches(singular, UNIT_VECTORS[0])
+
+
+@settings(max_examples=15, deadline=None)
+@given(matrix_rows, coefficient_lists)
+def test_rref_matches_separate_forward_pass_on_dense_matrices(rows, rhs):
+    assert_rref_matches(MatK(rows), rhs)
+    # rows 2 and 5 are equal, so e_2 is an inconsistent right side
+    repeated = MatK(rows[:5] + [rows[2]] + rows[6:])
+    assert_rref_matches(repeated, rhs)
+    assert 9 in assert_rref_matches(repeated, UNIT_VECTORS[2])
+
+
+def test_rref_matches_separate_forward_pass_on_fixed_inputs():
+    for m in (MatK.zero(), MatK.identity(), _zw_matrix(ONE - OMEGA), _zw_matrix(OMEGA)):
+        for rhs in UNIT_VECTORS[:2]:
+            assert_rref_matches(m, rhs)
+    assert 9 in assert_rref_matches(MatK.zero(), UNIT_VECTORS[0])
+    f = fib_element(300).inverse()
+    assert_rref_matches(lambda_mat(f) - gamma_mat(f), f.coeffs)

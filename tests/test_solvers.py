@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
-from symbol3.algebra import ParamsMismatch
-from symbol3.cyclotomic import CycQ
-from symbol3.representations import det, gamma_mat, lambda_mat
+from symbol3.algebra import ParamsMismatch, SymbolAlgebra
+from symbol3.cyclotomic import CycQ, ZERO
+from symbol3.representations import det, gamma_mat, lambda_mat, vec_rep
 from symbol3.solvers import (
     HypothesisViolated,
     VerificationFailed,
@@ -33,6 +34,28 @@ def test_commute_with_central_element():
     sol = solve_commute(UNIT.one())
     assert sol.verdict == Verdict.ALL_OF_SPACE
     assert len(sol.kernel) == 9
+
+
+def test_commute_solver_certificate():
+    # M_k = Lambda(b_k) - Gamma(b_k) maps vec(Z) to vec(b_k Z - Z b_k), and
+    # M(A) = Lambda(A) - Gamma(A) is sum_k c_k M_k for A = sum_k c_k b_k.  So
+    # M_k vec(1) = 0 for the 9 basis monomials puts vec(1) in ker M(A), and
+    # det M(A) = 0, for every A of the algebra.  M(A) vec(A) is
+    # sum_{j <= k} c_j c_k (M_j vec(b_k) + M_k vec(b_j)) up to the factor 2 at
+    # j = k, so the 45 pairs below put vec(A) in the kernel too: the
+    # commute_solver row holds for every A of these algebras, not only on its
+    # samples.
+    zero = (ZERO,) * 9
+    for algebra in ALGEBRAS + (SymbolAlgebra(CycQ(2), CycQ(5)),):
+        basis = [algebra.monomial(k) for k in range(9)]
+        ms = [lambda_mat(b) - gamma_mat(b) for b in basis]
+        one = vec_rep(algebra.one())
+        assert all(m.apply(one) == zero for m in ms)
+        pairs = list(itertools.combinations_with_replacement(range(9), 2))
+        assert len(pairs) == 45
+        for j, k in pairs:
+            left, right = ms[j].apply(vec_rep(basis[k])), ms[k].apply(vec_rep(basis[j]))
+            assert tuple(u + v for u, v in zip(left, right)) == zero
 
 
 def test_commute_with_x():
