@@ -12,9 +12,11 @@ Multiplication comes from the closed-form rewriting rule
                          * x^((i+k) mod 3) y^((j+l) mod 3),
 
 never from a transcribed table.  SymbolAlgebra.table() is the only place that
-encodes these structure constants: pi and the adjoint are read from element
-products, and the reduced norm eta from the scalar terms of z z* through the
-same table (SymbolElement.characteristic).
+encodes these structure constants, and table_products is the one loop that
+multiplies through its integer copy: the element product, eta (the scalar
+terms of z z*, SymbolElement.characteristic) and the reconstruction product
+(representations._mixed_product) all sum there.  pi and the adjoint are read
+from element products.
 """
 
 from __future__ import annotations
@@ -45,6 +47,27 @@ def basis_product_exponents(e1, e2):
     i, j = e1
     k, l = e2
     return (j * k) % 3, (i + k) // 3, (j + l) // 3, ((i + k) % 3, (j + l) % 3)
+
+
+def table_products(left, rows, right) -> tuple:
+    """For each nonzero left pair (p1, q1), its row of _integer_table() and its
+    right terms (k, p2, q2), add (p1 + q1 w)(p2 + q2 w)(tr + ts w) in ints into
+    output index, where row[k] = (tr, ts, index); returns (out_r, out_s)."""
+    out_r = [0] * 9
+    out_s = [0] * 9
+    for (p1, q1), row, terms in zip(left, rows, right):
+        if not (p1 or q1):
+            continue
+        for k, p2, q2 in terms:
+            tr, ts, idx = row[k]
+            # (p1 + q1 w)(p2 + q2 w)(tr + ts w), each step using w^2 = -1 - w
+            cross = q1 * q2
+            u = p1 * p2 - cross
+            v = p1 * q2 + q1 * p2 - cross
+            cross = v * ts
+            out_r[idx] += u * tr - cross
+            out_s[idx] += u * ts + v * tr - cross
+    return out_r, out_s
 
 
 class SymbolAlgebra:
@@ -195,20 +218,7 @@ class SymbolElement:
             d1, left = numerators(self.coeffs)
             d2, right = numerators(other.coeffs)
             right = [(k, p, q) for k, (p, q) in enumerate(right) if p or q]
-            out_r = [0] * 9
-            out_s = [0] * 9
-            for (p1, q1), row in zip(left, table):
-                if not (p1 or q1):
-                    continue
-                for k, p2, q2 in right:
-                    tr, ts, idx = row[k]
-                    # (p1 + q1 w)(p2 + q2 w)(tr + ts w), each step using w^2 = -1 - w
-                    cross = q1 * q2
-                    u = p1 * p2 - cross
-                    v = p1 * q2 + q1 * p2 - cross
-                    cross = v * ts
-                    out_r[idx] += u * tr - cross
-                    out_s[idx] += u * ts + v * tr - cross
+            out_r, out_s = table_products(left, table, [right] * 9)
             return SymbolElement(self.algebra, from_numerators(d1 * d2 * den, out_r, out_s))
         scalar = _coerce(other)
         if scalar is NotImplemented:
@@ -253,21 +263,12 @@ class SymbolElement:
         suite checks independently.
         """
         tau, pi, adj = self._from_square()
-        # the scalar row of the product kernel in __mul__
         den, table = self.algebra._integer_table()
         d1, left = numerators(self.coeffs)
         d2, right = numerators(adj.coeffs)
-        eta_r = eta_s = 0
-        for (p1, q1), k, row in zip(left, COMPLEMENT, table):
-            p2, q2 = right[k]
-            tr, ts, _ = row[k]
-            cross = q1 * q2
-            u = p1 * p2 - cross
-            v = p1 * q2 + q1 * p2 - cross
-            cross = v * ts
-            eta_r += u * tr - cross
-            eta_s += u * ts + v * tr - cross
-        (eta,) = from_numerators(d1 * d2 * den, (eta_r,), (eta_s,))
+        # row k of z z* needs only its term with z*_COMPLEMENT[k]; all land on output 0
+        out_r, out_s = table_products(left, table, [((k, *right[k]),) for k in COMPLEMENT])
+        (eta,) = from_numerators(d1 * d2 * den, out_r[:1], out_s[:1])
         return CharData(tau, pi, eta), adj
 
     def pi_form(self) -> CycQ:

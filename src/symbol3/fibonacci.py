@@ -200,8 +200,11 @@ def invertibility_scan(nmax: int, algebra: SymbolAlgebra = UNIT_ALGEBRA) -> dict
 
     A vanishing norm would be reported as a violation, not raised past.  Also
     confirms positivity of the w-free candidate block on the same range.
+    Raises ValueError for nmax < 0, which would scan no case at all.
     """
     _require_unit(algebra)
+    if nmax < 0:
+        raise ValueError("the invertibility scan needs nmax >= 0")
     rows = [invertibility_row(n, fib_element(n, algebra)) for n in range(nmax + 1)]
     return {
         "rows": rows,
@@ -494,7 +497,7 @@ def run_lemma_suite(nmax: int = 30) -> list:
 
     Each row reports whether the candidate right side matches the exact left
     side, and, when a corrected variant is stored, whether that one does.
-    Every block is evaluated once per n; a left side sums its table entries.
+    Every block and every lemma's left side is evaluated once per n.
     Raises ValueError for nmax < 1, which would audit no case at all.
     """
     if nmax < 1:
@@ -502,17 +505,9 @@ def run_lemma_suite(nmax: int = 30) -> list:
     tables = [{name: block_sum(n, (name,)) for name in BLOCKS} for n in range(1, nmax + 1)]
     rows = []
     for lemma in LEMMAS:
-        candidate_ok = True
-        verified_ok = None if lemma.verified is None else True
-        for n, table in enumerate(tables, 1):
-            lhs = sum(table[name] for name in lemma.blocks)
-            if candidate_ok and lhs != lemma.candidate(n):
-                candidate_ok = False
-            if lemma.verified is not None and verified_ok and lhs != lemma.verified(n):
-                verified_ok = False
-            if not candidate_ok and (verified_ok is None or not verified_ok):
-                break
-        rows.append(
-            {"name": lemma.name, "candidate_ok": candidate_ok, "verified_ok": verified_ok}
-        )
+        sides = [(n, sum(table[name] for name in lemma.blocks)) for n, table in enumerate(tables, 1)]
+        candidate_ok = all(lhs == lemma.candidate(n) for n, lhs in sides)
+        verified_ok = None if lemma.verified is None else all(
+            lhs == lemma.verified(n) for n, lhs in sides)
+        rows.append({"name": lemma.name, "candidate_ok": candidate_ok, "verified_ok": verified_ok})
     return rows

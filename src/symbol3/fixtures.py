@@ -10,9 +10,9 @@ KNOWN_MISMATCHES sets record the transcription's defects, so the audit doubles
 as a regression check on the generator: any mismatch outside the known set is
 a real failure.
 
-Cell tokens: optional 'a', optional 'b', optional 'w'/'w2', then 'c<k>' for
-coefficient tables or an optional '1' for scalar block tables; '0' is an
-empty cell.  Example: 'abw2c6' means a * b * w^2 * c6.
+Cell tokens: optional 'a', optional 'b', optional 'w'/'w2', then 'c<k>' or an
+optional '1'; '0' is an empty cell.  Example: 'abw2c6' means a * b * w^2 * c6.
+A stray or missing 'c<k>' changes the cell's value, so the audit reports it.
 """
 
 from __future__ import annotations
@@ -23,36 +23,28 @@ from .algebra import COMPLEMENT, SymbolAlgebra, SymbolElement
 from .cyclotomic import CycQ, OMEGA_POW, ONE, ZERO
 from .representations import MatK, _frame_weights, gamma_mat, lambda_mat
 
-_CELL_RE = re.compile(r"^(a)?(b)?(w2|w)?(?:c([0-8])|(1))?$")
+_CELL_RE = re.compile(r"^(a)?(b)?(w2|w)?(?:c([0-8])|1)?$")
 
 
-def _parse_cell(token: str, *, coefficient_table: bool):
-    """Token -> None or (coeff_index, w_pow, a_pow, b_pow); index None for blocks."""
+def _parse_cell(token: str):
+    """Token -> None or (coeff_index, w_pow, a_pow, b_pow); index None without 'c<k>'."""
     if token == "0":
         return None
     m = _CELL_RE.match(token)
     if m is None:
         raise ValueError(f"bad fixture token {token!r}")
-    a, b, w, idx, one = m.groups()
-    if coefficient_table:
-        if idx is None:
-            raise ValueError(f"fixture token {token!r} lacks a coefficient")
-        coeff = int(idx)
-    else:
-        if idx is not None:
-            raise ValueError(f"scalar block token {token!r} carries a coefficient")
-        coeff = None
+    a, b, w, idx = m.groups()
     w_pow = 0 if w is None else (1 if w == "w" else 2)
-    return (coeff, w_pow, 1 if a else 0, 1 if b else 0)
+    return (None if idx is None else int(idx), w_pow, 1 if a else 0, 1 if b else 0)
 
 
-def _parse_table(rows, *, coefficient_table: bool):
+def _parse_table(rows):
     out = []
     for row in rows:
         tokens = row.split()
         if len(tokens) != 9:
             raise ValueError(f"fixture row needs 9 cells: {row!r}")
-        out.append(tuple(_parse_cell(t, coefficient_table=coefficient_table) for t in tokens))
+        out.append(tuple(_parse_cell(t) for t in tokens))
     if len(out) != 9:
         raise ValueError("fixture table needs 9 rows")
     return tuple(out)
@@ -70,8 +62,7 @@ LAMBDA_GENERAL = _parse_table(
         "c6   w2c8  wc4   c7   c2    wc5     c0      w2c3   c1",
         "c7   wc5   w2c3  c2   bc6   c1      bwc4    c0     bw2c8",
         "c8   w2c4  awc6  c5   c1    wc3     ac2     aw2c7  c0",
-    ],
-    coefficient_table=True,
+    ]
 )
 
 # Right representation at general (a, b).
@@ -86,8 +77,7 @@ GAMMA_GENERAL = _parse_table(
         "c6   c8    c4    w2c7  wc2   wc5     c0      c3     w2c1",
         "c7   c5    c3    w2c2  bwc6  wc1     bc4     c0     bw2c8",
         "c8   c4    ac6   wc5   w2c1  c3      awc2    aw2c7  c0",
-    ],
-    coefficient_table=True,
+    ]
 )
 
 # Left representation specialized to a = b = 1 (compared modulo a/b powers).
@@ -102,8 +92,7 @@ LAMBDA_UNIT = _parse_table(
         "c6  w2c8  wc4   c7  c2    wc5   c0    w2c3  c1",
         "c7  wc5   w2c3  c2  c6    c1    wc4   c0    w2c8",
         "c8  w2c4  wc6   c5  c1    wc3   c2    w2c7  c0",
-    ],
-    coefficient_table=True,
+    ]
 )
 
 # Left representation of the first twist z_w at a = b = 1.
@@ -118,8 +107,7 @@ LAMBDA_UNIT_TWIST = _parse_table(
         "c6  wc8   c4  wc7   c2    w2c5  c0  c3  c1",
         "c7  w2c5  c3  c2    w2c6  c1    c4  c0  wc8",
         "c8  wc4   c6  wc5   c1    w2c3  c2  c7  c0",
-    ],
-    coefficient_table=True,
+    ]
 )
 
 # Generator blocks: left representations of x and y ...
@@ -134,8 +122,7 @@ BLOCK_X = _parse_table(
         "0 0 0  0 0 0  0 0 1",
         "0 0 0  0 0 1  0 0 0",
         "0 0 0  0 1 0  0 0 0",
-    ],
-    coefficient_table=False,
+    ]
 )
 
 BLOCK_Y = _parse_table(
@@ -149,8 +136,7 @@ BLOCK_Y = _parse_table(
         "0 0 0   0 0 0  0 w2 0",
         "0 0 w2  0 0 0  0 0 0",
         "0 0 0   0 0 w  0 0 0",
-    ],
-    coefficient_table=False,
+    ]
 )
 
 # ... and right representations of x and y.
@@ -165,8 +151,7 @@ BLOCK_U = _parse_table(
         "0 0 0  0 0 0  0 0 w2",
         "0 0 0  0 0 w  0 0 0",
         "0 0 0  0 w2 0  0 0 0",
-    ],
-    coefficient_table=False,
+    ]
 )
 
 BLOCK_V = _parse_table(
@@ -180,8 +165,7 @@ BLOCK_V = _parse_table(
         "0 0 0  0 0 0  0 1 0",
         "0 0 1  0 0 0  0 0 0",
         "0 0 0  0 0 1  0 0 0",
-    ],
-    coefficient_table=False,
+    ]
 )
 
 

@@ -6,7 +6,9 @@ generated from multiplication; transcribed tables exist only as diagnostic
 fixtures (see fixtures.py).  Matrix products, apply and the reconstruction
 product run over integer numerators, like the element product: each operand is
 written over its least common denominator, the sums stay in ints, and each
-output is normalised once (_products, _mixed_product).  det is fraction-free
+output is normalised once (_products, _mixed_product).  The reconstruction
+product sums its monomial products in algebra.table_products, the loop that
+also serves the element product and eta.  det is fraction-free
 (Bareiss) elimination over Z[w] on the same integer numerators, so every
 division in it is exact.  kernel_basis and solve_affine read the solution set
 from _rref, exact Gauss-Jordan elimination over Q(w).
@@ -14,7 +16,7 @@ from _rref, exact Gauss-Jordan elimination over Q(w).
 
 from __future__ import annotations
 
-from .algebra import COMPLEMENT, SymbolAlgebra, SymbolElement
+from .algebra import COMPLEMENT, SymbolAlgebra, SymbolElement, table_products
 from .cyclotomic import CycQ, ONE, ZERO, from_numerators, numerators
 
 
@@ -83,6 +85,8 @@ class MatK:
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product, vec a 9-tuple of scalars."""
+        if len(vec) != 9:
+            raise ValueError("apply needs a vector of exactly 9 scalars")
         return _products(self.rows, (vec,))
 
 
@@ -210,6 +214,8 @@ def kernel_basis(m: MatK) -> list:
 
 def solve_affine(m: MatK, rhs):
     """Full solution set of m * v = rhs: (particular, kernel) or None if inconsistent."""
+    if len(rhs) != 9:
+        raise ValueError("solve_affine needs a right side of exactly 9 scalars")
     rows = [list(r) + [b] for r, b in zip(m.rows, rhs)]
     pivots = _rref(rows)
     if 9 in pivots:
@@ -272,25 +278,20 @@ def _mixed_product(left, mat: MatK, right, algebra: SymbolAlgebra) -> SymbolElem
     """sum_ij mat[i][j] * left_i * right_j for frames of (index, weight) pairs,
     each monomial product read from the structure table.  The cells, the
     frame weights and the table are integer numerators over one denominator
-    each, so the sum stays in ints and each output is normalised once."""
+    each; each nonzero cell times its right weight is one right term of
+    table_products, so the sum stays in ints and each output is normalised once."""
     den, table = algebra._integer_table()
     d_cells, cells = numerators([s for row in mat.rows for s in row])
     d_weights, weights = numerators([weight for _, weight in left + right])
     right = [(r, *weight) for (r, _), weight in zip(right, weights[9:])]
-    out_r = [0] * 9
-    out_s = [0] * 9
-    for k, ((l, _), (p1, q1)) in enumerate(zip(left, weights)):
-        row = table[l]
-        for (r, p2, q2), (p3, q3) in zip(right, cells[9 * k:9 * k + 9]):
-            if not (p3 or q3):
-                continue
-            tr, ts, index = row[r]
-            # (p1 + q1 w)(p2 + q2 w)(p3 + q3 w)(tr + ts w), each step using w^2 = -1 - w
-            cross = q1 * q2
-            u, v = p1 * p2 - cross, p1 * q2 + q1 * p2 - cross
-            cross = v * q3
-            u, v = u * p3 - cross, u * q3 + v * p3 - cross
-            cross = v * ts
-            out_r[index] += u * tr - cross
-            out_s[index] += u * ts + v * tr - cross
+    terms = []
+    for k in range(0, 81, 9):
+        row = []
+        for (r, p2, q2), (p3, q3) in zip(right, cells[k:k + 9]):
+            if p3 or q3:
+                # (p2 + q2 w)(p3 + q3 w), using w^2 = -1 - w
+                cross = q2 * q3
+                row.append((r, p2 * p3 - cross, p2 * q3 + q2 * p3 - cross))
+        terms.append(row)
+    out_r, out_s = table_products(weights[:9], [table[l] for l, _ in left], terms)
     return SymbolElement(algebra, from_numerators(d_cells * d_weights * d_weights * den, out_r, out_s))

@@ -56,19 +56,6 @@ class SolutionSet(NamedTuple):
         return solve_affine(MatK(zip(*cols)), (z - self.particular).coeffs) is not None
 
 
-def _classify(particular, kernel, algebra) -> SolutionSet:
-    if particular is None:
-        return SolutionSet(None, (), Verdict.NO_SOLUTION)
-    kern = tuple(algebra.element(v) for v in kernel)
-    if not kern:
-        verdict = Verdict.UNIQUE
-    elif len(kern) == 9:
-        verdict = Verdict.ALL_OF_SPACE
-    else:
-        verdict = Verdict.AFFINE_FAMILY
-    return SolutionSet(algebra.element(particular), kern, verdict)
-
-
 def solve_commute(a: SymbolElement) -> SolutionSet:
     """All Z with A Z = Z A; the kernel always contains 1 and A."""
     return _solve_linear(a, a, a.algebra.zero())
@@ -97,8 +84,10 @@ def _solve_linear(a: SymbolElement, b: SymbolElement, c: SymbolElement) -> Solut
     """All Z with A Z - Z B = C, from one elimination of the augmented system."""
     out = solve_affine(lambda_mat(a) - gamma_mat(b), vec_rep(c))
     if out is None:
-        return _classify(None, (), a.algebra)
-    return _classify(out[0], out[1], a.algebra)
+        return SolutionSet(None, (), Verdict.NO_SOLUTION)
+    kernel = tuple(a.algebra.element(v) for v in out[1])
+    verdict = {0: Verdict.UNIQUE, 9: Verdict.ALL_OF_SPACE}.get(len(kernel), Verdict.AFFINE_FAMILY)
+    return SolutionSet(a.algebra.element(out[0]), kernel, verdict)
 
 
 def solve_commutator(a: SymbolElement, c: SymbolElement) -> SolutionSet:

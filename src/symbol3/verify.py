@@ -6,7 +6,8 @@ byte-identical reports.
 Each sampled identity has one implementation, a generator (`morphism_identities`
 ... `cube_sum_identities`) yielding one truth value per identity instance, and
 `tally` counts them for the battery and the tests alike.  Most rows of CHECKS
-are data: a body, its rng stream, its arguments and a detail template."""
+run `counted`: a function of the Context that calls one generator on its own
+rng stream, and a detail template for the tally."""
 
 from __future__ import annotations
 
@@ -318,42 +319,25 @@ class Context:
 
 
 class Check:
-    """One battery row; run(ctx) returns (passed, detail).  A row without its
-    own run tallies body(ctx.rng(stream), *args), or body(*args) if stream is
-    None, where a str in args names a Context attribute; its detail formats
-    `detail`, or `detail_passed` if set and the row passed, with the fields
-    checked, failures and nmax.  run is an instance attribute, so a tracer can
-    wrap one row's run."""
+    """One battery row; run(ctx) returns (passed, detail).  run is an instance
+    attribute, so a tracer can wrap one row's run."""
 
-    def __init__(
-        self,
-        name: str,
-        statement: str,
-        suite: str,
-        run: Callable = None,
-        body: Callable = None,
-        stream: str = None,
-        args: tuple = ("samples",),
-        detail: str = "",
-        detail_passed: str = None,
-    ):
+    def __init__(self, name: str, statement: str, suite: str, run: Callable):
         self.name = name
         self.statement = statement
         self.suite = suite
-        self.run = self._tally if run is None else run
-        self.body = body
-        self.stream = stream
-        self.args = args
-        self.detail = detail
-        self.detail_passed = detail_passed
+        self.run = run
 
-    def _tally(self, ctx: Context) -> tuple:
-        args = [getattr(ctx, a) if isinstance(a, str) else a for a in self.args]
-        if self.stream:
-            args.insert(0, ctx.rng(self.stream))
-        t = tally(self.body(*args))
-        template = self.detail_passed if t.passed and self.detail_passed else self.detail
+
+def counted(cases: Callable, detail: str, detail_passed: str = None) -> Callable:
+    """A row's run that tallies cases(ctx); its detail formats `detail`, or
+    `detail_passed` if set and the row passed, with the fields checked,
+    failures and nmax."""
+    def run(ctx: Context) -> tuple:
+        t = tally(cases(ctx))
+        template = detail_passed if t.passed and detail_passed else detail
         return t.passed, template.format(checked=t.checked, failures=t.failures, nmax=ctx.nmax)
+    return run
 
 
 def _check_twist_probe(ctx: Context):
@@ -445,31 +429,31 @@ def _check_scan(ctx: Context):
 CHECKS = (
     Check("lambda_gamma_morphisms",
           "Lambda(zw)=Lambda(z)Lambda(w); Gamma(zw)=Gamma(w)Gamma(z); Lambda(A)Gamma(B)=Gamma(B)Lambda(A)",
-          "representations", body=morphism_identities, stream="morphisms",
-          detail="{checked} identities, {failures} failures"),
+          "representations", counted(lambda ctx: morphism_identities(ctx.rng("morphisms"), ctx.samples),
+                                     "{checked} identities, {failures} failures")),
     Check("vector_representation",
           "vec(Z)=Lambda(Z)e1=Gamma(Z)e1; vec(AZ)=Lambda(A)vec(Z); vec(ZA)=Gamma(A)vec(Z)",
-          "representations", body=vector_rep_identities, stream="vector_rep",
-          detail="first-column and action identities, {failures} failures"),
+          "representations", counted(lambda ctx: vector_rep_identities(ctx.rng("vector_rep"), ctx.samples),
+                                     "first-column and action identities, {failures} failures")),
     Check("norm_trace_coherence",
           "det Lambda(z)=eta(z)^3; det Gamma(z)=det Lambda(z); tr Lambda(z)=9c0=3tau(z); eta multiplicative",
-          "representations", body=norm_trace_identities, stream="norm_trace",
-          detail="det/trace/multiplicativity, {failures} failures"),
+          "representations", counted(lambda ctx: norm_trace_identities(ctx.rng("norm_trace"), ctx.samples),
+                                     "det/trace/multiplicativity, {failures} failures")),
     Check("adjoint_char_poly",
           "z z*=z* z=eta; z**=eta z; (zw)*=w* z*; pi(z)=tau(z*); 2pi=tau^2-tau(z^2); pi(zw)=pi(wz); tau(zw)=tau(wz); Cayley-Hamilton",
-          "representations", body=char_poly_identities, stream="char_poly",
-          detail="adjoint/char-poly batteries, {failures} failures"),
+          "representations", counted(lambda ctx: char_poly_identities(ctx.rng("char_poly"), ctx.samples),
+                                     "adjoint/char-poly batteries, {failures} failures")),
     Check("twist_invariance_unit",
           "at a=b=1: det Lambda(z)=det Lambda(z_w)=det Lambda(z_w2), same for Gamma",
-          "representations", body=twist_unit_identities, stream="twist_unit",
-          detail="unit-parameter twist invariance, {failures} failures"),
+          "representations", counted(lambda ctx: twist_unit_identities(ctx.rng("twist_unit"), ctx.samples),
+                                     "unit-parameter twist invariance, {failures} failures")),
     Check("twist_invariance_probe",
           "twist invariance probed at non-unit parameters (informational)",
           "representations", _check_twist_probe),
     Check("reconstruction",
           "M9 Lambda(z) N9 = M10 Gamma^t(z) N10 = 3z",
-          "representations", body=reconstruction_identities, stream="reconstruction",
-          detail="both frame routes recover 3z, {failures} failures"),
+          "representations", counted(lambda ctx: reconstruction_identities(ctx.rng("reconstruction"), ctx.samples),
+                                     "both frame routes recover 3z, {failures} failures")),
     Check("reconstruction_frame_variant",
           "row-weighted frame variant recovers 3z only at unit parameters (diagnostic)",
           "representations", _check_reconstruction_variant),
@@ -478,46 +462,45 @@ CHECKS = (
           "representations", _check_fixtures),
     Check("commute_solver",
           "det(Lambda(A)-Gamma(A))=0; kernel of the centralizer system contains 1 and A",
-          "equations", body=commute_identities, stream="commute",
-          detail="singular commutator matrix + kernel membership, {failures} failures"),
+          "equations", counted(lambda ctx: commute_identities(ctx.rng("commute"), ctx.samples),
+                               "singular commutator matrix + kernel membership, {failures} failures")),
     Check("centralizer_of_x",
           "the centralizer of x is span(1, x, x^2) (dimension 3)",
-          "equations", body=centralizer_identities, args=(),
-          detail="centralizer of x is span(1, x, x^2), {failures} failures"),
+          "equations", counted(lambda ctx: centralizer_identities(),
+                               "centralizer of x is span(1, x, x^2), {failures} failures")),
     Check("sylvester_roundtrip",
           "AZ-ZB=C with invertible Lambda(A)-Gamma(B) has the unique solution it was built from",
-          "equations", body=sylvester_identities, stream="sylvester", args=(5,),
-          detail="{checked} construct-then-solve round trips, {failures} failures"),
+          "equations", counted(lambda ctx: sylvester_identities(ctx.rng("sylvester"), 5),
+                               "{checked} construct-then-solve round trips, {failures} failures")),
     Check("commutator_solver",
           "AZ-ZA=C is never uniquely solvable; residuals vanish on solvable instances",
-          "equations", body=commutator_identities, stream="commutator", args=("capped_samples",),
-          detail="solvable and unsolvable commutator equations, {failures} failures"),
+          "equations", counted(lambda ctx: commutator_identities(ctx.rng("commutator"), ctx.capped_samples),
+                               "solvable and unsolvable commutator equations, {failures} failures")),
     Check("intertwine_conjugate",
           "for B=W^-1 A W the solution set of AZ=ZB contains W",
-          "equations", body=intertwine_identities, stream="intertwine", args=(3,),
-          detail=f"{3 * len(ALGEBRAS)} conjugate intertwine solves, {{failures}} failures"),
+          "equations", counted(lambda ctx: intertwine_identities(ctx.rng("intertwine"), 3),
+                               f"{3 * len(ALGEBRAS)} conjugate intertwine solves, {{failures}} failures")),
     Check("structured_solutions",
           "X1=A0+B0 and X2=pi(A0)-A0B0 solve AZ=ZB on verified instances; insufficient-hypothesis pairs reported",
           "equations", _check_structured),
     Check("sequence_identities",
           "the seven classical Fibonacci identities plus Horadam relations",
-          "fibonacci", body=sequence_identities, stream="sequences", args=("nmax",),
-          detail="sequence identities to n={nmax}: {failures} failures",
-          detail_passed="sequence identities to n={nmax}: all hold"),
+          "fibonacci", counted(lambda ctx: sequence_identities(ctx.rng("sequences"), ctx.nmax),
+                               "sequence identities to n={nmax}: {failures} failures",
+                               "sequence identities to n={nmax}: all hold")),
     Check("fibonacci_elements",
           "F_n+F_(n+1)=F_(n+2); H additivity; H^(0,1)=F",
-          "fibonacci", body=fib_element_identities, stream="fib_elements", args=(10, 25),
-          detail="element recurrence and Horadam additivity, {failures} failures"),
+          "fibonacci", counted(lambda ctx: fib_element_identities(ctx.rng("fib_elements"), 10, 25),
+                               "element recurrence and Horadam additivity, {failures} failures")),
     Check("norm_closed_form",
           "shipped closed form equals the explicit norm for all n in range (det cross-checked)",
-          "fibonacci", body=closed_form_identities, args=("nmax",),
-          detail="closed form vs explicit norm for n=0..{nmax} (+det cross-check): "
-                 "{failures} failures",
-          detail_passed="closed form vs explicit norm for n=0..{nmax} (+det cross-check): exact"),
+          "fibonacci", counted(lambda ctx: closed_form_identities(ctx.nmax),
+                               "closed form vs explicit norm for n=0..{nmax} (+det cross-check): {failures} failures",
+                               "closed form vs explicit norm for n=0..{nmax} (+det cross-check): exact")),
     Check("norm_closed_form_general_a",
           "verified general-a closed form at b=1 equals the explicit norm",
-          "fibonacci", body=general_a_identities, args=((CycQ(2), CycQ(3), OMEGA), 8),
-          detail="verified general-a closed form at b=1, {failures} failures"),
+          "fibonacci", counted(lambda ctx: general_a_identities((CycQ(2), CycQ(3), OMEGA), 8),
+                               "verified general-a closed form at b=1, {failures} failures")),
     Check("norm_candidate_audit",
           "the retained candidate constant set disagrees with the oracle (documented defect)",
           "fibonacci", _check_norm_audit),
@@ -529,8 +512,8 @@ CHECKS = (
           "fibonacci", _check_scan),
     Check("cube_sum_factorization",
           "x^3+y^3+z^3-3xyz = (x+y+z)((x-y)^2+(y-z)^2+(z-x)^2)/2",
-          "fibonacci", body=cube_sum_identities, stream="cube_sum", args=(50,),
-          detail="{checked} random integer triples, {failures} failures"),
+          "fibonacci", counted(lambda ctx: cube_sum_identities(ctx.rng("cube_sum"), 50),
+                               "{checked} random integer triples, {failures} failures")),
 )
 
 SUITES = ("all", "representations", "equations", "fibonacci")

@@ -43,6 +43,11 @@ DET_TESTS = (
     "tests/test_mul_kernel.py::test_det_matches_gaussian_elimination_on_dense_matrices",
     "tests/test_mul_kernel.py::test_det_matches_gaussian_elimination_on_fixed_inputs",
 )
+TABLE_TESTS = (
+    "tests/test_mul_kernel.py::test_product_matches_per_term_loop",
+    "tests/test_mul_kernel.py::test_reduced_norm_matches_cubic_form",
+    "tests/test_mul_kernel.py::test_mixed_products_match_cycq_loop",
+)
 RREF_TESTS = (
     "tests/test_mul_kernel.py::test_rref_matches_separate_forward_pass",
     "tests/test_mul_kernel.py::test_rref_matches_separate_forward_pass_on_dense_matrices",
@@ -76,11 +81,11 @@ MUTANTS = (
            "d_cells * d_weights * d_weights * den", "d_cells * d_weights * den",
            MIXED_TESTS),
     Mutant("mixed_drop_cell_cross_term", "representations.py",
-           "cross = v * q3", "cross = 0", MIXED_TESTS),
+           "cross = q2 * q3", "cross = 0", MIXED_TESTS),
     Mutant("mixed_left_weights_on_right_frame", "representations.py",
            "zip(right, weights[9:])", "zip(right, weights[:9])", MIXED_TESTS),
     Mutant("mixed_skip_zero_rational_part", "representations.py",
-           "if not (p3 or q3):", "if not p3:", MIXED_TESTS),
+           "if p3 or q3:", "if p3:", MIXED_TESTS),
     # det, fraction-free elimination over Z[w]
     Mutant("det_prev_not_conjugated", "representations.py",
            "cr, cs, norm = p - q, -q, p * p - p * q + q * q",
@@ -104,14 +109,21 @@ MUTANTS = (
             "tests/test_fibonacci.py::test_lemma_suite_matches_the_reference_on_damaged_sides",
             "tests/test_fibonacci.py::test_lemma_suite_statuses_are_frozen",
             "tests/test_acceptance.py::test_criterion_8_norm_closed_form_and_lemmas")),
+    # the verified side is not audited once the candidate has failed
     Mutant("lemma_suite_stop_at_first_candidate_failure", "fibonacci.py",
-           "if not candidate_ok and (verified_ok is None or not verified_ok):",
-           "if not candidate_ok:",
+           "lhs == lemma.verified(n) for n, lhs in sides)",
+           "lhs == lemma.verified(n) for n, lhs in sides if candidate_ok)",
            ("tests/test_fibonacci.py::test_lemma_suite_matches_the_reference_on_damaged_sides",)),
     Mutant("candidate_form_with_verified_outer_side", "fibonacci.py",
            '_LEMMA["outer_blocks_sum"].candidate(n)', '_LEMMA["outer_blocks_sum"].verified(n)',
            ("tests/test_fibonacci.py::test_candidate_closed_form_disagrees",
             "tests/test_fibonacci.py::test_candidate_closed_form_is_the_sum_of_its_lemma_sides")),
+    # table_products, the one structure-table loop: the element product, eta
+    # and the reconstruction product
+    Mutant("table_products_drop_cross_term", "algebra.py",
+           "cross = q1 * q2", "cross = 0", TABLE_TESTS),
+    Mutant("table_products_wrong_result_index", "algebra.py",
+           "tr, ts, idx = row[k]", "tr, ts, idx = *row[k][:2], (row[k][2] + 1) % 9", TABLE_TESTS),
     # eta, the reduced norm
     Mutant("eta_from_the_wrong_coefficient", "algebra.py",
            "return CharData(tau, pi, eta), adj",

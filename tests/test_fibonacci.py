@@ -273,6 +273,12 @@ def test_lemma_suite_matches_the_reference_on_damaged_sides(monkeypatch):
         assert by_name["run_block_0"]["candidate_ok"] == (nmax < 30)
 
 
+@pytest.mark.parametrize("nmax", [-1, -5])
+def test_invertibility_scan_rejects_an_empty_range(nmax):
+    with pytest.raises(ValueError):
+        invertibility_scan(nmax)
+
+
 def test_invertibility_scan():
     report = invertibility_scan(100)
     assert report["all_invertible"]

@@ -23,6 +23,12 @@ backward pass.  `reference_rref_echelon` and `reference_rref` are the earlier
 separate forward pass and the `_rref` that called it and inverted each pivot
 again, kept word for word, with the calls renamed.
 
+The element product, eta and `_mixed_product` sum their term products in one
+loop, `algebra.table_products`.  `reference_integer_mul`,
+`reference_integer_characteristic` and `reference_integer_mixed_product` are
+the three integer loops it replaced, kept word for word, with the calls
+renamed.
+
 `CycQ.__init__` keeps a `Fraction` argument as it is, since arithmetic results
 are already in lowest terms.  `ReferenceCycQ` is the earlier scalar, which
 passed every part through `Fraction(...)` again; its `__init__`, `__add__`,
@@ -36,8 +42,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from symbol3.algebra import SymbolAlgebra, SymbolElement
-from symbol3.cyclotomic import CycQ, OMEGA, OMEGA_POW, ONE, ZERO
+from symbol3.algebra import COMPLEMENT, CharData, SymbolAlgebra, SymbolElement
+from symbol3.cyclotomic import CycQ, OMEGA, OMEGA_POW, ONE, ZERO, _coerce, from_numerators, numerators
 from symbol3.fibonacci import fib_element
 from symbol3.fixtures import transcribed_reconstruction_frames
 from symbol3.representations import MatK, _mixed_product, _rref, det, gamma_mat, lambda_mat, reconstruction_frames
@@ -547,3 +553,134 @@ def test_rref_matches_separate_forward_pass_on_fixed_inputs():
     assert 9 in assert_rref_matches(MatK.zero(), UNIT_VECTORS[0])
     f = fib_element(300).inverse()
     assert_rref_matches(lambda_mat(f) - gamma_mat(f), f.coeffs)
+
+
+def reference_integer_mul(self, other):
+    if isinstance(other, SymbolElement):
+        self._check_same(other)
+        # Each operand is (p_k + q_k w) / d over its least common denominator,
+        # so the term products stay in ints and each output is normalised once.
+        den, table = self.algebra._integer_table()
+        d1, left = numerators(self.coeffs)
+        d2, right = numerators(other.coeffs)
+        right = [(k, p, q) for k, (p, q) in enumerate(right) if p or q]
+        out_r = [0] * 9
+        out_s = [0] * 9
+        for (p1, q1), row in zip(left, table):
+            if not (p1 or q1):
+                continue
+            for k, p2, q2 in right:
+                tr, ts, idx = row[k]
+                # (p1 + q1 w)(p2 + q2 w)(tr + ts w), each step using w^2 = -1 - w
+                cross = q1 * q2
+                u = p1 * p2 - cross
+                v = p1 * q2 + q1 * p2 - cross
+                cross = v * ts
+                out_r[idx] += u * tr - cross
+                out_s[idx] += u * ts + v * tr - cross
+        return SymbolElement(self.algebra, from_numerators(d1 * d2 * den, out_r, out_s))
+    scalar = _coerce(other)
+    if scalar is NotImplemented:
+        return NotImplemented
+    return self.scale(scalar)
+
+
+def reference_integer_characteristic(self) -> tuple:
+    """(CharData(tau, pi, eta), z*) from one square and nine term products.
+
+    By Cayley-Hamilton z z* = eta(z), so eta is the scalar coefficient of
+    z z*, which only the products c_k z*_COMPLEMENT[k] reach; the cube of
+    eta equals det of the left representation, which the verification
+    suite checks independently.
+    """
+    tau, pi, adj = self._from_square()
+    # the scalar row of the product kernel in __mul__
+    den, table = self.algebra._integer_table()
+    d1, left = numerators(self.coeffs)
+    d2, right = numerators(adj.coeffs)
+    eta_r = eta_s = 0
+    for (p1, q1), k, row in zip(left, COMPLEMENT, table):
+        p2, q2 = right[k]
+        tr, ts, _ = row[k]
+        cross = q1 * q2
+        u = p1 * p2 - cross
+        v = p1 * q2 + q1 * p2 - cross
+        cross = v * ts
+        eta_r += u * tr - cross
+        eta_s += u * ts + v * tr - cross
+    (eta,) = from_numerators(d1 * d2 * den, (eta_r,), (eta_s,))
+    return CharData(tau, pi, eta), adj
+
+
+def reference_integer_mixed_product(left, mat: MatK, right, algebra: SymbolAlgebra) -> SymbolElement:
+    """sum_ij mat[i][j] * left_i * right_j for frames of (index, weight) pairs,
+    each monomial product read from the structure table.  The cells, the
+    frame weights and the table are integer numerators over one denominator
+    each, so the sum stays in ints and each output is normalised once."""
+    den, table = algebra._integer_table()
+    d_cells, cells = numerators([s for row in mat.rows for s in row])
+    d_weights, weights = numerators([weight for _, weight in left + right])
+    right = [(r, *weight) for (r, _), weight in zip(right, weights[9:])]
+    out_r = [0] * 9
+    out_s = [0] * 9
+    for k, ((l, _), (p1, q1)) in enumerate(zip(left, weights)):
+        row = table[l]
+        for (r, p2, q2), (p3, q3) in zip(right, cells[9 * k:9 * k + 9]):
+            if not (p3 or q3):
+                continue
+            tr, ts, index = row[r]
+            # (p1 + q1 w)(p2 + q2 w)(p3 + q3 w)(tr + ts w), each step using w^2 = -1 - w
+            cross = q1 * q2
+            u, v = p1 * p2 - cross, p1 * q2 + q1 * p2 - cross
+            cross = v * q3
+            u, v = u * p3 - cross, u * q3 + v * p3 - cross
+            cross = v * ts
+            out_r[index] += u * tr - cross
+            out_s[index] += u * ts + v * tr - cross
+    return SymbolElement(algebra, from_numerators(d_cells * d_weights * d_weights * den, out_r, out_s))
+
+
+def assert_same_element(got, want):
+    assert got.algebra == want.algebra
+    for g, w in zip(got.coeffs, want.coeffs):
+        assert_same_scalar(g, w)
+
+
+def assert_table_products_match(z, w, frame_sets):
+    """z * w, eta(z) and the mixed products of Lambda(z) and Gamma^t(z) on
+    each frame set agree with the three integer loops in exact parts."""
+    algebra = z.algebra
+    assert_same_element(z * w, reference_integer_mul(z, w))
+    assert_same_scalar(z.reduced_norm(), reference_integer_characteristic(z)[0].eta)
+    mats = (lambda_mat(z), gamma_mat(z).transpose())
+    for frames in frame_sets:
+        for (left, right), mat in zip(frames, mats):
+            assert_same_element(_mixed_product(left, mat, right, algebra),
+                                reference_integer_mixed_product(left, mat, right, algebra))
+
+
+# at most three nonzero coefficients, the zero element included
+sparse_coefficient_lists = st.dictionaries(st.integers(0, 8), scalars, max_size=3).map(
+    lambda terms: [terms.get(k, ZERO) for k in range(9)])
+operands = st.one_of(coefficient_lists, sparse_coefficient_lists)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_ALGEBRAS), operands, operands)
+def test_table_products_match_the_integer_loops(algebra, left, right):
+    z, w = algebra.element(left), algebra.element(right)
+    # the corrected reconstruction frames and the transcribed row-weighted ones
+    frame_sets = (reconstruction_frames(algebra), transcribed_reconstruction_frames(algebra))
+    assert_table_products_match(z, w, frame_sets)
+    assert_table_products_match(w, z, frame_sets)
+
+
+def test_table_products_match_the_integer_loops_on_large_denominators():
+    # the coefficients of F_300^-1 have denominators of hundreds of bits
+    f = fib_element(300)
+    g = f.inverse()
+    algebra = f.algebra
+    frame_sets = (reconstruction_frames(algebra), transcribed_reconstruction_frames(algebra))
+    assert_table_products_match(g, f, frame_sets)
+    assert_table_products_match(f, g, frame_sets)
+    assert_table_products_match(g, g, frame_sets)

@@ -114,6 +114,18 @@ def test_solve_affine():
         assert solve_affine(singular, singular.apply(v))[1] == kernel_basis(singular)
 
 
+@pytest.mark.parametrize("size", [8, 10])
+def test_solve_affine_needs_nine_scalars(size):
+    with pytest.raises(ValueError):
+        solve_affine(MatK.identity(), (ONE,) * size)
+
+
+@pytest.mark.parametrize("size", [8, 10])
+def test_apply_needs_nine_scalars(size):
+    with pytest.raises(ValueError):
+        MatK.identity().apply((ONE,) * size)
+
+
 # The determinant, Gauss-Jordan elimination and kernel reader that ran before
 # det and _rref shared one forward elimination, kept verbatim as the reference
 # that test_elimination_matches_gauss_jordan_reference compares against.
@@ -278,6 +290,21 @@ def test_fixture_audit_reads_the_generated_matrices(monkeypatch):
     monkeypatch.setattr(fixtures, "gamma_mat", damaged_gamma)
     mismatches, known, ok = fixture_reports()["gamma_general"]
     assert not ok and (0, 0) in {(r, c) for r, c, _, _ in mismatches}
+
+
+def test_fixture_audit_reports_a_stray_or_missing_coefficient(monkeypatch):
+    # one grammar parses every table, so a coefficient token that lost its
+    # 'c<k>', or a block token that gained one, must show up by value
+    missing = [list(row) for row in fixtures.LAMBDA_GENERAL]
+    missing[0][0] = fixtures._parse_cell("1")  # transcribed as c0
+    stray = [list(row) for row in fixtures.BLOCK_X]
+    stray[1][0] = fixtures._parse_cell("c1")  # transcribed as 1
+    monkeypatch.setattr(fixtures, "LAMBDA_GENERAL", missing)
+    monkeypatch.setattr(fixtures, "BLOCK_X", stray)
+    reports = fixture_reports()
+    for name, cell in (("lambda_general", (0, 0)), ("block_x", (1, 0))):
+        mismatches, known, ok = reports[name]
+        assert not ok and cell in {(r, c) for r, c, _, _ in mismatches} - known, name
 
 
 def test_audit_point_separates_cell_values():
